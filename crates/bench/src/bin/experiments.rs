@@ -78,8 +78,9 @@
 //!
 //! `--serve ADDR` runs the `oqsc-serve` session-multiplexing engine
 //! behind its line protocol — `ADDR` is a Unix socket path, or
-//! `host:port` for TCP (`--workers N` sizes the connection-handler
-//! pool) — until a client sends `SHUTDOWN`. `--eviction lru|gdsf`
+//! `host:port` for TCP (`--workers N` caps the connections served at
+//! once; further clients wait until one closes) — until a client sends
+//! `SHUTDOWN`. `--eviction lru|gdsf`
 //! picks the live-tier eviction policy, `--spill-store PATH` attaches a
 //! durable spill tier (mid-stream sessions are flushed there on
 //! shutdown and rehydrated by the next `--serve` on the same path), and
@@ -240,8 +241,8 @@ fn usage_and_exit(code: i32) -> ! {
     println!("                         auto dispatch) and write the JSON record to PATH");
     println!("  --bench-reduced        with --bench-json: shrink sizes for a CI smoke run");
     println!("  --serve ADDR           run the session-multiplexing server on a Unix socket");
-    println!("                         path or host:port (--workers N sizes its");
-    println!("                         connection-handler pool)");
+    println!("                         path or host:port (--workers N caps the connections");
+    println!("                         served at once; more clients wait their turn)");
     println!("  --live-budget BYTES    with --serve: hot-tier byte budget for live sessions");
     println!("                         (default 64 MiB; 0 = suspend after every feed)");
     println!("  --eviction lru|gdsf    with --serve: live-tier eviction policy");
@@ -256,6 +257,7 @@ fn usage_and_exit(code: i32) -> ! {
     println!("                         1..={MAX_READ_TIMEOUT_MS} (default 50)");
     println!("  --route ADDR           run the consistent-hash router on ADDR, fronting the");
     println!("                         --engines fleet behind the same line protocol");
+    println!("                         (--workers N caps its connections, as for --serve)");
     println!("  --engines A1,A2,...    with --route: the backend engine addresses");
     println!("  --drive ADDR           run the demo fleet through a --serve server (or a");
     println!("                         --route front) and print one OUTCOME line per session");
@@ -621,7 +623,7 @@ fn parse_cli() -> Cli {
     }
     // The serve-family modes stand alone too: the server, the router,
     // the two drivers and shutdown each do exactly one thing, and only
-    // --serve/--route take --workers (their connection-handler pools).
+    // --serve/--route take --workers (their caps on open connections).
     let serve_modes = [
         (cli.serve.is_some(), "--serve"),
         (cli.route.is_some(), "--route"),
@@ -1145,7 +1147,7 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
         }
     };
     eprintln!(
-        "serving on {addr} ({threads} connection handler{}, {} eviction); stop with --shutdown",
+        "serving on {addr} (up to {threads} connection{} at once, {} eviction); stop with --shutdown",
         if threads == 1 { "" } else { "s" },
         eviction.name(),
     );

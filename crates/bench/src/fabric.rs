@@ -30,15 +30,15 @@
 
 use crate::pool::{fleet_outcomes, OutcomeLedger, PoolError, SweepRows, SweepSpec};
 use oqsc_machine::{CheckpointStore, RunOutcome};
-use oqsc_serve::transport::{Listener, Stream};
+use oqsc_serve::transport::{serve_lines, Drain, LineClient, Listener};
 use oqsc_serve::{
     fabric_request_line, fabric_response_line, parse_fabric_request, parse_fabric_response,
     FabricRequest, FabricResponse,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -383,65 +383,30 @@ impl FabricState {
     }
 }
 
-fn lock_state<'a>(state: &'a Mutex<FabricState>) -> std::sync::MutexGuard<'a, FabricState> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
+/// Answers one worker request line. Completing the sweep sets `done`,
+/// which stops the coordinator accepting connections.
+fn answer(line: &str, state: &Mutex<FabricState>, done: &AtomicBool) -> String {
+    let request = match parse_fabric_request(line) {
+        Ok(request) => request,
+        Err(msg) => return format!("ERR {msg}"),
+    };
+    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+    let response = match st.handle(&request, Instant::now()) {
+        Ok(resp) => fabric_response_line(&resp),
+        Err(msg) => format!("ERR {msg}"),
+    };
+    if st.is_complete() {
+        done.store(true, Ordering::SeqCst);
+    }
+    response
 }
 
-/// Serves one worker connection: request line in, response line out,
-/// until the peer hangs up. Reads poll on a short timeout and preserve
-/// partial lines across timeouts (the serve front end's slow-client
-/// fix), so a worker trickling bytes never gets a corrupted request.
-fn handle_fabric_connection(stream: Stream, state: &Mutex<FabricState>, done: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // worker hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Partial request bytes stay in `line` for the next
-                // poll. Workers always disconnect after FINISHED, so the
-                // connection drains itself; no forced close.
-                continue;
-            }
-            Err(_) => return,
-        }
-        let request = line.trim().to_string();
-        line.clear();
-        if request.is_empty() {
-            continue;
-        }
-        let response = match parse_fabric_request(&request) {
-            Err(msg) => format!("ERR {msg}"),
-            Ok(req) => {
-                let mut st = lock_state(state);
-                let answer = match st.handle(&req, Instant::now()) {
-                    Ok(resp) => fabric_response_line(&resp),
-                    Err(msg) => format!("ERR {msg}"),
-                };
-                if st.is_complete() {
-                    done.store(true, Ordering::SeqCst);
-                }
-                answer
-            }
-        };
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-    }
-}
+/// Connections the coordinator serves at once (each worker holds two:
+/// its lease connection and its heartbeat).
+const MAX_CONNECTIONS: usize = 256;
+
+/// Read-poll cadence of the coordinator's connections.
+const READ_POLL: Duration = Duration::from_millis(50);
 
 /// A bound, not-yet-running coordinator. Binding is separate from
 /// running so callers (the CLI, tests binding `127.0.0.1:0`) can learn
@@ -477,30 +442,20 @@ impl Coordinator {
     /// (a resumed, finished run) returns immediately without serving.
     pub fn run(self) -> Result<SweepRows, PoolError> {
         let Coordinator { listener, state } = self;
-        listener.set_nonblocking(true)?;
         let done = AtomicBool::new(state.is_complete());
         let state = Mutex::new(state);
-        std::thread::scope(|scope| {
-            while !done.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok(stream) => {
-                        let state = &state;
-                        let done = &done;
-                        scope.spawn(move || handle_fabric_connection(stream, state, done));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            // The scope joins the open connections: each drains at its
-            // worker's disconnect (every worker ends on FINISHED or an
-            // abandoned lease, then hangs up).
-        });
-        if let Some(path) = listener.unix_path() {
-            let _ = std::fs::remove_file(path);
-        }
+        // After completion the listener is gone (a late dial is refused),
+        // but open connections are answered until their worker hangs
+        // up: a worker still on a duplicated chunk gets its EXPIRED or
+        // FINISHED and exits cleanly.
+        serve_lines(
+            listener,
+            MAX_CONNECTIONS,
+            READ_POLL,
+            Drain::AtHangup,
+            &done,
+            || |line: &str| answer(line, &state, &done),
+        );
         state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -557,53 +512,37 @@ pub struct FabricWorkReport {
     pub expired: u64,
 }
 
-/// One line-protocol client connection: request out, response in.
-struct LineClient {
-    writer: Stream,
-    reader: BufReader<Stream>,
+/// Sends one fabric request and parses the coordinator's answer; an
+/// `ERR` line becomes a protocol error.
+fn ask(client: &mut LineClient, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
+    let line = client.ask(&fabric_request_line(request))?;
+    if let Some(msg) = line.strip_prefix("ERR ") {
+        return Err(PoolError::Protocol(format!("coordinator refused: {msg}")));
+    }
+    parse_fabric_response(&line).map_err(PoolError::Protocol)
 }
 
-impl LineClient {
-    fn connect(addr: &str) -> std::io::Result<LineClient> {
-        let writer = Stream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(LineClient { writer, reader })
-    }
+/// The error for a well-formed answer that does not fit `request`.
+fn unexpected(request: &FabricRequest, response: FabricResponse) -> PoolError {
+    let line = fabric_request_line(request);
+    PoolError::Protocol(format!("unexpected response to {line}: {response:?}"))
+}
 
-    fn ask(&mut self, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
-        self.writer
-            .write_all(format!("{}\n", fabric_request_line(request)).as_bytes())?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(PoolError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "coordinator hung up mid-exchange",
-            )));
-        }
-        let line = line.trim();
-        if let Some(msg) = line.strip_prefix("ERR ") {
-            return Err(PoolError::Protocol(format!("coordinator refused: {msg}")));
-        }
-        parse_fabric_response(line).map_err(PoolError::Protocol)
-    }
-
-    fn report_outcome(
-        &mut self,
-        fleet: &str,
-        index: u64,
-        outcome: RunOutcome,
-    ) -> Result<(), PoolError> {
-        match self.ask(&FabricRequest::Outcome {
-            fleet: fleet.to_string(),
-            index,
-            outcome,
-        })? {
-            FabricResponse::Ok { .. } => Ok(()),
-            other => Err(PoolError::Protocol(format!(
-                "unexpected response to OUTCOME: {other:?}"
-            ))),
-        }
+/// Reports one instance's outcome.
+fn report_outcome(
+    client: &mut LineClient,
+    fleet: &str,
+    index: u64,
+    outcome: RunOutcome,
+) -> Result<(), PoolError> {
+    let request = FabricRequest::Outcome {
+        fleet: fleet.to_string(),
+        index,
+        outcome,
+    };
+    match ask(client, &request)? {
+        FabricResponse::Ok { .. } => Ok(()),
+        other => Err(unexpected(&request, other)),
     }
 }
 
@@ -627,61 +566,49 @@ fn run_lease(
             for &idx in &range {
                 let outcomes = fleet_outcomes(spec, fleet, &[idx], 1)?;
                 std::thread::sleep(pause);
-                client.report_outcome(fleet, idx as u64, outcomes[0])?;
+                report_outcome(client, fleet, idx as u64, outcomes[0])?;
                 report.instances += 1;
-                match client.ask(&FabricRequest::Renew { lease })? {
+                let renew = FabricRequest::Renew { lease };
+                match ask(client, &renew)? {
                     FabricResponse::Ok { .. } => {}
                     FabricResponse::Expired { .. } => {
                         report.expired += 1;
                         return Ok(());
                     }
-                    other => {
-                        return Err(PoolError::Protocol(format!(
-                            "unexpected response to RENEW: {other:?}"
-                        )))
-                    }
+                    other => return Err(unexpected(&renew, other)),
                 }
             }
         }
         None => {
             let outcomes = fleet_outcomes(spec, fleet, &range, config.threads)?;
             for (&idx, outcome) in range.iter().zip(&outcomes) {
-                client.report_outcome(fleet, idx as u64, *outcome)?;
+                report_outcome(client, fleet, idx as u64, *outcome)?;
                 report.instances += 1;
             }
         }
     }
-    match client.ask(&FabricRequest::Done { lease })? {
+    let done = FabricRequest::Done { lease };
+    match ask(client, &done)? {
         // EXPIRED here means another worker's DONE retired the chunk
         // first — the work still landed (as idempotent duplicates).
         FabricResponse::Ok { .. } | FabricResponse::Expired { .. } => Ok(()),
-        other => Err(PoolError::Protocol(format!(
-            "unexpected response to DONE: {other:?}"
-        ))),
+        other => Err(unexpected(&done, other)),
     }
 }
 
 /// Best-effort heartbeat on a side connection: renews every lease the
 /// worker holds, so a long-running range never starves its deadline.
 /// Any failure simply ends the thread — explicit `RENEW`s and lease
-/// re-grants cover for a lost heartbeat channel.
-fn heartbeat_loop(addr: &str, worker: u64, every: Duration, stop: &AtomicBool) {
+/// re-grants cover for a lost heartbeat channel — and so does the
+/// worker dropping the sender of `stop`, at once rather than after a
+/// full period.
+fn heartbeat_loop(addr: &str, worker: u64, every: Duration, stop: Receiver<()>) {
     let Ok(mut client) = LineClient::connect(addr) else {
         return;
     };
-    while !stop.load(Ordering::SeqCst) {
-        if client.ask(&FabricRequest::Heartbeat { worker }).is_err() {
-            return;
-        }
-        // Sleep in small steps so worker exit is not delayed by a
-        // full heartbeat period.
-        let mut slept = Duration::ZERO;
-        while slept < every && !stop.load(Ordering::SeqCst) {
-            let step = Duration::from_millis(50).min(every - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-    }
+    while ask(&mut client, &FabricRequest::Heartbeat { worker }).is_ok()
+        && stop.recv_timeout(every) == Err(RecvTimeoutError::Timeout)
+    {}
 }
 
 /// The fabric worker loop — the `experiments --fabric-work` entry
@@ -695,49 +622,35 @@ pub fn fabric_work(
 ) -> Result<FabricWorkReport, PoolError> {
     let mut client = LineClient::connect(addr)?;
     let mut report = FabricWorkReport::default();
-    let stop = AtomicBool::new(false);
+    let (stop, stopped) = std::sync::mpsc::channel();
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| heartbeat_loop(addr, config.worker_id, config.heartbeat_every, &stop));
+        scope.spawn(|| heartbeat_loop(addr, config.worker_id, config.heartbeat_every, stopped));
         let lease_request = FabricRequest::Lease {
             worker: config.worker_id,
             sweep: spec.name().to_string(),
             k_max: spec.k_max(),
             trials: spec.trials().unwrap_or(0) as u64,
         };
-        let run = loop {
-            match client.ask(&lease_request) {
-                Ok(FabricResponse::Finished) => break Ok(()),
-                Ok(FabricResponse::Wait { millis }) => {
+        let run = (|| loop {
+            match ask(&mut client, &lease_request)? {
+                FabricResponse::Finished => return Ok(()),
+                FabricResponse::Wait { millis } => {
                     std::thread::sleep(Duration::from_millis(millis.min(1000)))
                 }
-                Ok(FabricResponse::Grant {
+                FabricResponse::Grant {
                     lease,
                     fleet,
                     start,
                     end,
-                }) => {
+                } => {
                     report.leases += 1;
-                    if let Err(e) = run_lease(
-                        &mut client,
-                        spec,
-                        config,
-                        &mut report,
-                        lease,
-                        &fleet,
-                        start..end,
-                    ) {
-                        break Err(e);
-                    }
+                    let range = start..end;
+                    run_lease(&mut client, spec, config, &mut report, lease, &fleet, range)?;
                 }
-                Ok(other) => {
-                    break Err(PoolError::Protocol(format!(
-                        "unexpected response to LEASE: {other:?}"
-                    )))
-                }
-                Err(e) => break Err(e),
+                other => return Err(unexpected(&lease_request, other)),
             }
-        };
-        stop.store(true, Ordering::SeqCst);
+        })();
+        drop(stop);
         run
     });
     result.map(|()| report)

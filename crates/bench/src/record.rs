@@ -719,31 +719,33 @@ fn eviction_rows(reduced: bool) -> Vec<EvictionRow> {
 /// token, round-robin across sessions — today's worst case) vs one
 /// pipelined `FEEDS` line per session. Returns `(feed_ns, tokens)`.
 fn socket_feed_phase(sessions: usize, batched: bool) -> (u64, u64) {
-    let path = std::env::temp_dir().join(format!(
-        "oqsc-bench-mux-batched-{}-{batched}.sock",
-        std::process::id()
-    ));
+    let (addr, handle) = start_bench_engine(&format!("mux-batched-{batched}"));
+    let measured = drive_feed_phase(&addr, sessions, batched, &mux_word());
+    handle.join().expect("bench server thread");
+    measured
+}
+
+/// Binds and starts a bench engine on a fresh temp socket: two
+/// connections at once, a live budget of ~16 sessions.
+fn start_bench_engine(name: &str) -> (String, std::thread::JoinHandle<MuxStats>) {
+    let path = std::env::temp_dir().join(format!("oqsc-bench-{}-{name}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let addr = path.display().to_string();
-    let server = Server::bind(
-        &addr,
-        ServerConfig {
-            threads: 2,
-            mux: MuxConfig {
-                live_bytes_budget: mux_live_budget(16),
-                warm_bytes_budget: 1 << 30,
-                shards: 16,
-                ..MuxConfig::default()
-            },
-            ..ServerConfig::default()
+    let config = ServerConfig {
+        threads: 2,
+        mux: MuxConfig {
+            live_bytes_budget: mux_live_budget(16),
+            warm_bytes_budget: 1 << 30,
+            shards: 16,
+            ..MuxConfig::default()
         },
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(&addr, config).expect("bind bench engine");
+    (
+        addr,
+        std::thread::spawn(move || server.run().expect("bench engine")),
     )
-    .expect("bind bench server");
-    let handle = std::thread::spawn(move || server.run().expect("bench server"));
-    let word = mux_word();
-    let (ns, tokens) = drive_feed_phase(&addr, sessions, batched, &word);
-    handle.join().expect("bench server thread");
-    (ns, tokens)
 }
 
 /// The shared client side of [`socket_feed_phase`] and the router cell:
@@ -820,35 +822,13 @@ fn router_rows(reduced: bool) -> Vec<RouterRow> {
     [1usize, 2]
         .into_iter()
         .map(|engines| {
-            let stamp = std::process::id();
-            let mut engine_addrs = Vec::new();
-            let mut engine_handles = Vec::new();
-            for e in 0..engines {
-                let path = std::env::temp_dir()
-                    .join(format!("oqsc-bench-router-{stamp}-{engines}-{e}.sock"));
-                let _ = std::fs::remove_file(&path);
-                let addr = path.display().to_string();
-                let server = Server::bind(
-                    &addr,
-                    ServerConfig {
-                        threads: 2,
-                        mux: MuxConfig {
-                            live_bytes_budget: mux_live_budget(16),
-                            warm_bytes_budget: 1 << 30,
-                            shards: 16,
-                            ..MuxConfig::default()
-                        },
-                        ..ServerConfig::default()
-                    },
-                )
-                .expect("bind bench engine");
-                engine_addrs.push(addr);
-                engine_handles.push(std::thread::spawn(move || {
-                    server.run().expect("bench engine")
-                }));
-            }
-            let front_path = std::env::temp_dir()
-                .join(format!("oqsc-bench-router-{stamp}-{engines}-front.sock"));
+            let (engine_addrs, engine_handles): (Vec<_>, Vec<_>) = (0..engines)
+                .map(|e| start_bench_engine(&format!("router-{engines}-{e}")))
+                .unzip();
+            let front_path = std::env::temp_dir().join(format!(
+                "oqsc-bench-router-{}-{engines}-front.sock",
+                std::process::id()
+            ));
             let _ = std::fs::remove_file(&front_path);
             let front = front_path.display().to_string();
             let router =

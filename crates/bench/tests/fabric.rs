@@ -10,16 +10,22 @@
 //!   sockets-free — grant coverage, steal policy, TTL expiry, premature
 //!   `DONE` rejection, sweep-identity checks, and store-backed resume.
 //!
+//! * a worker dialling a coordinator whose sweep is already complete
+//!   (lease connection and heartbeat both) cannot hang either side.
+//!
 //! The binary-level version (SIGKILL a worker process mid-sweep, then
 //! resume the coordinator from its store) runs in CI's fabric smoke.
 
+#[path = "../../serve/tests/common/mod.rs"]
+mod common;
+
+use common::{watchdog, RawClient};
 use oqsc_bench::{
     fabric_work, fleet_outcomes, split_fabric_instance_id, Coordinator, FabricConfig, FabricState,
     SweepSpec, WorkerConfig,
 };
 use oqsc_machine::{BatchRunner, SessionSchedule};
-use oqsc_serve::{FabricRequest, FabricResponse};
-use std::io::{BufRead, BufReader, Write};
+use oqsc_serve::{fabric_request_line, parse_fabric_response, FabricRequest, FabricResponse};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -37,185 +43,186 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn unix_fabric_with_a_straggler_matches_the_in_process_sweep() {
-    let spec = spec_e6(4);
-    let reference = reference_rows(spec);
-    let sock = temp_path("unix.sock");
-    let _ = std::fs::remove_file(&sock);
-    let addr = sock.to_string_lossy().into_owned();
-    let coordinator = Coordinator::bind(
-        &addr,
-        spec,
-        FabricConfig {
-            lease_size: 2,
-            lease_ttl: Duration::from_millis(500),
-            ..FabricConfig::default()
-        },
-    )
-    .expect("bind coordinator");
-
-    let (rows, slow, fast) = std::thread::scope(|scope| {
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
-        // A deliberate straggler: one instance per 40 ms guarantees the
-        // fast worker exhausts the open pool and steals its tail.
-        let slow = scope.spawn(|| {
-            fabric_work(
-                &addr,
-                spec,
-                &WorkerConfig {
-                    worker_id: 1,
-                    throttle: Some(Duration::from_millis(40)),
-                    heartbeat_every: Duration::from_millis(100),
-                    ..WorkerConfig::default()
-                },
-            )
-            .expect("slow worker")
-        });
-        let fast = scope.spawn(|| {
-            fabric_work(
-                &addr,
-                spec,
-                &WorkerConfig {
-                    worker_id: 2,
-                    threads: 2,
-                    heartbeat_every: Duration::from_millis(100),
-                    ..WorkerConfig::default()
-                },
-            )
-            .expect("fast worker")
-        });
-        (
-            coord.join().expect("coordinator thread"),
-            slow.join().expect("slow thread"),
-            fast.join().expect("fast thread"),
+    watchdog(|| {
+        let spec = spec_e6(4);
+        let reference = reference_rows(spec);
+        let sock = temp_path("unix.sock");
+        let _ = std::fs::remove_file(&sock);
+        let addr = sock.to_string_lossy().into_owned();
+        let coordinator = Coordinator::bind(
+            &addr,
+            spec,
+            FabricConfig {
+                lease_size: 2,
+                lease_ttl: Duration::from_millis(500),
+                ..FabricConfig::default()
+            },
         )
-    });
+        .expect("bind coordinator");
 
-    assert_eq!(rows, reference, "fabric rows differ from in-process");
-    assert!(!sock.exists(), "coordinator unlinks its socket");
-    // Both workers took part, and together they covered everything (the
-    // straggler may double-report stolen indices — that's the design).
-    assert!(fast.leases > 0 && fast.instances > 0, "{fast:?}");
-    assert!(slow.leases > 0, "{slow:?}");
+        let (rows, slow, fast) = std::thread::scope(|scope| {
+            let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+            // A deliberate straggler: one instance per 40 ms guarantees the
+            // fast worker exhausts the open pool and steals its tail.
+            let slow = scope.spawn(|| {
+                fabric_work(
+                    &addr,
+                    spec,
+                    &WorkerConfig {
+                        worker_id: 1,
+                        throttle: Some(Duration::from_millis(40)),
+                        heartbeat_every: Duration::from_millis(100),
+                        ..WorkerConfig::default()
+                    },
+                )
+                .expect("slow worker")
+            });
+            let fast = scope.spawn(|| {
+                fabric_work(
+                    &addr,
+                    spec,
+                    &WorkerConfig {
+                        worker_id: 2,
+                        threads: 2,
+                        heartbeat_every: Duration::from_millis(100),
+                        ..WorkerConfig::default()
+                    },
+                )
+                .expect("fast worker")
+            });
+            (
+                coord.join().expect("coordinator thread"),
+                slow.join().expect("slow thread"),
+                fast.join().expect("fast thread"),
+            )
+        });
+
+        assert_eq!(rows, reference, "fabric rows differ from in-process");
+        assert!(!sock.exists(), "coordinator unlinks its socket");
+        // Both workers took part, and together they covered everything (the
+        // straggler may double-report stolen indices — that's the design).
+        assert!(fast.leases > 0 && fast.instances > 0, "{fast:?}");
+        assert!(slow.leases > 0, "{slow:?}");
+    });
 }
 
-#[test]
-fn tcp_fabric_releases_a_vanished_clients_lease() {
-    let spec = spec_e6(3);
+/// Runs `spec` on a coordinator bound at `addr` while a raw client
+/// leases a range with `lease_line` and vanishes without reporting a
+/// single outcome (no heartbeat either): its lease must lapse after the
+/// TTL, and one worker with `threads` threads re-runs the range and
+/// finishes a table identical to the in-process one.
+fn survive_a_vanished_lease(addr: &str, spec: SweepSpec, lease_line: &str, threads: usize) {
     let reference = reference_rows(spec);
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        spec,
-        FabricConfig {
-            lease_size: 2,
-            lease_ttl: Duration::from_millis(300),
-            wait_millis: 50,
-            ..FabricConfig::default()
-        },
-    )
-    .expect("bind coordinator");
-    let addr = coordinator.local_addr();
-    assert!(addr.contains(':'), "tcp address: {addr}");
-
-    // Asserts live outside the scope: a panic inside would leave the
-    // coordinator serving forever and deadlock the join.
-    let (rows, grant_line, report) = std::thread::scope(|scope| {
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
-
-        // A client that leases a range and disconnects without reporting
-        // a single outcome (no heartbeat either): its lease must lapse
-        // after the TTL and the range go back to the open pool.
-        let grant_line = {
-            let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-            stream
-                .write_all(b"LEASE 99 e6 3 0\n")
-                .expect("lease request");
-            stream.flush().expect("flush");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("grant line");
-            line
-            // Drop both halves: the vanishing act.
-        };
-
-        let worker = scope.spawn(|| {
-            fabric_work(
-                &addr,
-                spec,
-                &WorkerConfig {
-                    worker_id: 7,
-                    heartbeat_every: Duration::from_millis(100),
-                    ..WorkerConfig::default()
-                },
-            )
-            .expect("worker")
-        });
-        let report = worker.join().expect("worker thread");
-        let rows = coord.join().expect("coordinator thread");
-        (rows, grant_line, report)
-    });
+    let config = FabricConfig {
+        lease_size: 2,
+        lease_ttl: Duration::from_millis(300),
+        wait_millis: 50,
+        ..FabricConfig::default()
+    };
+    let coordinator = Coordinator::bind(addr, spec, config).expect("bind coordinator");
+    let bound = coordinator.local_addr();
+    assert_eq!(bound.contains(':'), addr.contains(':'), "bound at {bound}");
+    let addr = bound;
+    let coord = std::thread::spawn(move || coordinator.run().expect("coordinate"));
+    // Dropped at once: no OUTCOME, no RENEW, no DONE.
+    let grant_line = RawClient::connect(&addr).ask(lease_line);
     assert!(grant_line.starts_with("LEASE "), "got: {grant_line}");
+    let worker = WorkerConfig {
+        worker_id: 7,
+        threads,
+        heartbeat_every: Duration::from_millis(100),
+        ..WorkerConfig::default()
+    };
+    let report = fabric_work(&addr, spec, &worker).expect("worker");
     assert!(report.instances > 0, "{report:?}");
+    let rows = coord.join().expect("coordinator thread");
     assert_eq!(rows, reference, "re-leased rows differ from in-process");
 }
 
 #[test]
-fn f1_fabric_survives_a_mid_lease_death() {
-    // The F1 sweep (two fleets, quantum registers included), with a
-    // worker that dies holding a lease: a raw client leases a range and
-    // vanishes without reporting; after the TTL the surviving worker
-    // re-runs the range and the table still matches in-process.
-    let spec = SweepSpec::from_cli("f1", 4, 0).expect("f1 spec");
-    let reference = reference_rows(spec);
-    let sock = temp_path("f1.sock");
-    let _ = std::fs::remove_file(&sock);
-    let addr = sock.to_string_lossy().into_owned();
-    let coordinator = Coordinator::bind(
-        &addr,
-        spec,
-        FabricConfig {
-            lease_size: 2,
-            lease_ttl: Duration::from_millis(300),
-            wait_millis: 50,
-            ..FabricConfig::default()
-        },
-    )
-    .expect("bind coordinator");
+fn tcp_fabric_releases_a_vanished_clients_lease() {
+    watchdog(|| survive_a_vanished_lease("127.0.0.1:0", spec_e6(3), "LEASE 99 e6 3 0", 1));
+}
 
-    let (rows, grant_line, report) = std::thread::scope(|scope| {
-        let coordinator = coordinator;
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
-        let grant_line = {
-            let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
-            stream
-                .write_all(b"LEASE 99 f1 4 0\n")
-                .expect("lease request");
-            stream.flush().expect("flush");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("grant line");
-            line
-            // Dies mid-lease: no OUTCOME, no RENEW, no DONE.
-        };
-        let worker = scope.spawn(|| {
-            fabric_work(
-                &addr,
-                spec,
-                &WorkerConfig {
-                    worker_id: 3,
-                    threads: 2,
-                    heartbeat_every: Duration::from_millis(100),
-                    ..WorkerConfig::default()
-                },
-            )
-            .expect("worker")
-        });
-        let report = worker.join().expect("worker thread");
-        let rows = coord.join().expect("coordinator thread");
-        (rows, grant_line, report)
+/// The F1 sweep (two fleets, quantum registers included), over a Unix
+/// socket, with a worker that dies holding a lease.
+#[test]
+fn f1_fabric_survives_a_mid_lease_death() {
+    watchdog(|| {
+        let spec = SweepSpec::from_cli("f1", 4, 0).expect("f1 spec");
+        let sock = temp_path("f1.sock");
+        let _ = std::fs::remove_file(&sock);
+        survive_a_vanished_lease(&sock.to_string_lossy(), spec, "LEASE 99 f1 4 0", 2)
     });
-    assert!(grant_line.starts_with("LEASE "), "got: {grant_line}");
-    assert!(report.instances > 0, "{report:?}");
-    assert_eq!(rows, reference, "f1 rows differ after a mid-lease death");
+}
+
+/// The completion hang, pinned. A sweep is finished by hand over a raw
+/// connection that stays open, so the coordinator is still serving;
+/// then a worker arrives, dialling its lease connection and its
+/// heartbeat after completion. The coordinator dropped its listener on
+/// completion, so the late worker is refused at once (or, dialled in
+/// the instant before, answered `FINISHED`) instead of waiting forever
+/// in a backlog nobody accepts from — and the coordinator still returns
+/// its rows once the raw connection hangs up.
+#[test]
+fn a_worker_dialling_after_completion_cannot_hang_the_fabric() {
+    watchdog(|| {
+        let spec = spec_e6(2);
+        let reference = reference_rows(spec);
+        let coordinator = Coordinator::bind("127.0.0.1:0", spec, FabricConfig::default())
+            .expect("bind coordinator");
+        let addr = coordinator.local_addr();
+        let coord = std::thread::spawn(move || coordinator.run().expect("coordinate"));
+
+        let mut raw = RawClient::connect(&addr);
+        let lease_line = "LEASE 99 e6 2 0";
+        while let FabricResponse::Grant {
+            lease,
+            fleet,
+            start,
+            end,
+        } = parse_fabric_response(&raw.ask(lease_line)).expect("lease answer")
+        {
+            let indices: Vec<usize> = (start as usize..end as usize).collect();
+            let outcomes = fleet_outcomes(spec, &fleet, &indices, 1).expect("run range");
+            for (&index, outcome) in indices.iter().zip(outcomes) {
+                let report = FabricRequest::Outcome {
+                    fleet: fleet.clone(),
+                    index: index as u64,
+                    outcome,
+                };
+                assert_eq!(
+                    raw.ask(&fabric_request_line(&report)),
+                    format!("OK {index}")
+                );
+            }
+            let done = fabric_request_line(&FabricRequest::Done { lease });
+            assert_eq!(raw.ask(&done), format!("OK {lease}"));
+        }
+        assert_eq!(raw.ask(lease_line), "FINISHED", "the sweep is complete");
+
+        let dialled = Instant::now();
+        let late = fabric_work(
+            &addr,
+            spec,
+            &WorkerConfig {
+                worker_id: 5,
+                heartbeat_every: Duration::from_millis(10),
+                ..WorkerConfig::default()
+            },
+        );
+        // Refused at once, not rescued by the client's read deadline.
+        assert!(
+            dialled.elapsed() < Duration::from_secs(10),
+            "the late worker took {:?}",
+            dialled.elapsed()
+        );
+        if let Ok(report) = late {
+            assert_eq!(report.leases, 0, "nothing is left to lease");
+        }
+        drop(raw);
+        assert_eq!(coord.join().expect("coordinator thread"), reference);
+    });
 }
 
 /// Drives a [`FabricState`] to completion by replaying granted ranges

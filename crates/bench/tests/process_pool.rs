@@ -18,16 +18,25 @@
 //!
 //! CI runs this suite under `--release`.
 
+#[path = "../../serve/tests/common/mod.rs"]
+mod common;
+
+use common::watchdog;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const WORKER_CRASH_EXIT: i32 = 9;
 
+/// Runs the binary to completion. Every test goes through here, so the
+/// watchdog turns a wedged run into a failed test, not a stuck suite.
 fn experiments(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(args)
-        .output()
-        .expect("spawn experiments binary")
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    watchdog(move || {
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("spawn experiments binary")
+    })
 }
 
 fn stdout_of(args: &[&str]) -> String {

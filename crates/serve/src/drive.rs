@@ -108,23 +108,18 @@ fn send_all(
     mode: FeedMode,
     requests: &[String],
 ) -> std::io::Result<Vec<String>> {
-    match mode {
-        FeedMode::Batched => {
-            let responses = client.pipeline(requests)?;
-            requests
-                .iter()
-                .zip(responses)
-                .map(|(req, resp)| ok_or_err(req, resp))
-                .collect()
-        }
+    let responses = match mode {
+        FeedMode::Batched => client.pipeline(requests)?,
         FeedMode::Chunks => requests
             .iter()
-            .map(|req| {
-                let resp = client.ask(req)?;
-                ok_or_err(req, resp)
-            })
-            .collect(),
-    }
+            .map(|req| client.ask(req))
+            .collect::<std::io::Result<_>>()?,
+    };
+    requests
+        .iter()
+        .zip(responses)
+        .map(|(req, resp)| ok_or_err(req, resp))
+        .collect()
 }
 
 /// Drives the demo fleet through a serving endpoint (`addr` is a Unix

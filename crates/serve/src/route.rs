@@ -20,10 +20,7 @@
 
 use crate::mux::{mix64, MuxStats};
 use crate::protocol::{parse_request, parse_stats_line, stats_line, Request};
-use crate::transport::{
-    discard_line, read_line_bounded, LineClient, LineStatus, Listener, Stream, MAX_LINE_BYTES,
-};
-use std::io::{BufReader, Write};
+use crate::transport::{serve_lines, Drain, LineClient, Listener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -38,11 +35,11 @@ pub fn route_index(id: u64, engines: usize) -> usize {
         .expect("non-empty range")
 }
 
-/// Router sizing: connection-handling threads and the read-poll cadence
-/// (same semantics as the server's).
+/// Router sizing: open connections and the read-poll cadence (same
+/// semantics as the server's).
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Connection-handling threads.
+    /// Client connections served at once, one handler thread each.
     pub threads: usize,
     /// Per-read timeout on client connections.
     pub read_timeout: Duration,
@@ -76,7 +73,6 @@ impl Router {
             ));
         }
         let listener = Listener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Router {
             listener,
             engines,
@@ -94,30 +90,18 @@ impl Router {
     /// engine before the router itself drains. A Unix socket file is
     /// removed on return.
     pub fn run(self) -> std::io::Result<()> {
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.threads.max(1) {
-                scope.spawn(|| {
-                    while !done.load(Ordering::SeqCst) {
-                        match self.listener.accept() {
-                            Ok(stream) => handle_route_connection(
-                                stream,
-                                &self.engines,
-                                &done,
-                                self.config.read_timeout,
-                            ),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(path) = self.listener.unix_path() {
-            let _ = std::fs::remove_file(path);
-        }
+        let done = &AtomicBool::new(false);
+        serve_lines(
+            self.listener,
+            self.config.threads,
+            self.config.read_timeout,
+            Drain::AtIdlePoll,
+            done,
+            || {
+                let mut backends = Backends::new(&self.engines);
+                move |line: &str| route_one(line, &mut backends, done)
+            },
+        );
         Ok(())
     }
 }
@@ -141,91 +125,15 @@ impl<'a> Backends<'a> {
     /// Sends `line` to engine `index` and returns its response line,
     /// dialing on first use.
     fn ask(&mut self, index: usize, line: &str) -> std::io::Result<String> {
-        if self.links[index].is_none() {
-            self.links[index] = Some(LineClient::connect(&self.addrs[index])?);
+        let slot = &mut self.links[index];
+        if slot.is_none() {
+            *slot = Some(LineClient::connect(&self.addrs[index])?);
         }
-        let link = self.links[index].as_mut().expect("just dialed");
-        match link.ask(line) {
-            Ok(response) => Ok(response),
-            Err(e) => {
-                self.links[index] = None;
-                Err(e)
-            }
+        let response = slot.as_mut().expect("just dialed").ask(line);
+        if response.is_err() {
+            *slot = None;
         }
-    }
-}
-
-/// Serves one client connection, forwarding per-id verbs to their
-/// engines and fanning out the fleet-wide ones.
-fn handle_route_connection(
-    stream: Stream,
-    engines: &[String],
-    done: &AtomicBool,
-    read_timeout: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut backends = Backends::new(engines);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let status = match read_line_bounded(&mut reader, &mut buf) {
-            Ok(status) => status,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let response = match status {
-            LineStatus::Closed => return,
-            LineStatus::Overflow => {
-                loop {
-                    match discard_line(&mut reader) {
-                        Ok(true) => break,
-                        Ok(false) => return,
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                }
-                buf.clear();
-                format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
-            }
-            LineStatus::Line => {
-                let text = std::str::from_utf8(&buf).map(|s| s.trim().to_string());
-                buf.clear();
-                match text {
-                    Ok(request) if request.is_empty() => continue,
-                    Ok(request) => route_one(&request, &mut backends, done),
-                    Err(_) => "ERR request is not valid UTF-8".to_string(),
-                }
-            }
-        };
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-        if done.load(Ordering::SeqCst) {
-            return;
-        }
+        response
     }
 }
 
@@ -247,10 +155,10 @@ fn route_one(line: &str, backends: &mut Backends<'_>, done: &AtomicBool) -> Stri
         }
     };
     match request {
-        Request::Open { id, .. } | Request::Feed { id, .. } | Request::Feeds { id, .. } => {
-            forward_to(backends, id)
-        }
-        Request::Finish { id } => forward_to(backends, id),
+        Request::Open { id, .. }
+        | Request::Feed { id, .. }
+        | Request::Feeds { id, .. }
+        | Request::Finish { id } => forward_to(backends, id),
         Request::Stats => {
             let mut total = MuxStats::default();
             for index in 0..backends.addrs.len() {
@@ -282,13 +190,12 @@ fn route_one(line: &str, backends: &mut Backends<'_>, done: &AtomicBool) -> Stri
         Request::Shutdown => {
             // Broadcast so one SHUTDOWN drains the whole fleet; engines
             // that fail to answer are reported, not retried.
-            let mut failures = Vec::new();
-            for index in 0..backends.addrs.len() {
-                match backends.ask(index, "SHUTDOWN") {
-                    Ok(_) => {}
-                    Err(_) => failures.push(backends.addrs[index].clone()),
-                }
-            }
+            let failures: Vec<String> = (0..backends.addrs.len())
+                .filter_map(|i| {
+                    let failed = backends.ask(i, "SHUTDOWN").is_err();
+                    failed.then(|| backends.addrs[i].clone())
+                })
+                .collect();
             done.store(true, Ordering::SeqCst);
             if failures.is_empty() {
                 "OK shutdown".to_string()

@@ -1,21 +1,26 @@
 //! Either-transport plumbing shared by every line-protocol endpoint:
-//! Unix domain sockets and TCP behind one listener/stream pair, plus
-//! bounded request-line reads.
+//! Unix domain sockets and TCP behind one listener/stream pair, the one
+//! connection loop ([`serve_lines`]) and the one client ([`LineClient`]).
 //!
 //! Addresses containing `:` are TCP `host:port`; everything else is a
 //! Unix socket path. That one rule is shared by the serving tier, the
 //! router and the distributed sweep fabric, so `--serve`, `--drive`,
 //! `--route` and `--fabric-*` all accept either form interchangeably.
 //!
-//! The line reader is deliberately hostile-input-proof: a request line
-//! is read through a hard [`MAX_LINE_BYTES`] cap, so a client streaming
-//! gigabytes without a newline costs the server one bounded buffer and
-//! one `ERR` response, never an unbounded allocation.
+//! The server, the router and the fabric coordinator differ only in
+//! what they answer to a request line; [`serve_lines`] owns everything
+//! else: accepting under a connection cap, the bounded line reader
+//! (a request line is read through a hard [`MAX_LINE_BYTES`] cap, so a
+//! client streaming gigabytes without a newline costs one bounded
+//! buffer and one `ERR` response, never an unbounded allocation), read
+//! polls, write deadlines and the shutdown order.
 
-use std::io::{BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Longest accepted request line in bytes, newline included. Generous —
@@ -77,27 +82,24 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Binds `addr` on the transport its shape selects. Unix paths get
-    /// the stale-vs-live discipline of [`bind_unix_socket`].
+    /// Binds `addr` on the transport its shape selects, non-blocking.
+    /// Unix paths get the stale-vs-live discipline of
+    /// [`bind_unix_socket`].
     pub fn bind(addr: &str) -> std::io::Result<Listener> {
         if is_tcp_addr(addr) {
-            Ok(Listener::Tcp(TcpListener::bind(addr)?))
+            let listener = TcpListener::bind(addr)?;
+            listener.set_nonblocking(true)?;
+            Ok(Listener::Tcp(listener))
         } else {
             let path = PathBuf::from(addr);
             let listener = bind_unix_socket(&path)?;
+            listener.set_nonblocking(true)?;
             Ok(Listener::Unix(listener, path))
         }
     }
 
-    /// Toggles non-blocking accepts.
-    pub fn set_nonblocking(&self, yes: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Unix(l, _) => l.set_nonblocking(yes),
-            Listener::Tcp(l) => l.set_nonblocking(yes),
-        }
-    }
-
-    /// Accepts one connection.
+    /// Accepts one connection, or fails with `WouldBlock` when none is
+    /// pending (listeners never block; accepted streams do).
     pub fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
@@ -117,14 +119,6 @@ impl Listener {
                 .unwrap_or_else(|_| "<tcp>".to_string()),
         }
     }
-
-    /// The socket file this listener owns, if it is a Unix listener.
-    pub fn unix_path(&self) -> Option<&Path> {
-        match self {
-            Listener::Unix(_, path) => Some(path),
-            Listener::Tcp(_) => None,
-        }
-    }
 }
 
 /// One connection on either transport.
@@ -136,13 +130,16 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Connects to `addr` on the transport its shape selects.
+    /// Connects to `addr` on the transport its shape selects. A TCP
+    /// connect gives up after 5 s; a Unix connect
+    /// either lands in the listener's backlog or is refused at once.
     pub fn connect(addr: &str) -> std::io::Result<Stream> {
-        if is_tcp_addr(addr) {
-            TcpStream::connect(addr).map(Stream::Tcp)
-        } else {
-            UnixStream::connect(addr).map(Stream::Unix)
+        if !is_tcp_addr(addr) {
+            return UnixStream::connect(addr).map(Stream::Unix);
         }
+        let no_address = || std::io::Error::other(format!("{addr} resolves to no address"));
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(no_address)?;
+        TcpStream::connect_timeout(&sock, CONNECT_DEADLINE).map(Stream::Tcp)
     }
 
     /// An independently owned handle to the same connection.
@@ -153,11 +150,13 @@ impl Stream {
         }
     }
 
-    /// Sets the read timeout (turns blocked reads into polls).
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+    /// Sets the read and write timeouts: a blocked call fails with
+    /// `WouldBlock`/`TimedOut` after `read` or `write`.
+    pub fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
+        let (read, write) = (Some(read), Some(write));
         match self {
-            Stream::Unix(s) => s.set_read_timeout(dur),
-            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
+            Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
         }
     }
 }
@@ -249,12 +248,174 @@ pub fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<bool> {
     }
 }
 
-/// A line-protocol client: one request line out, one response line in.
-/// Works over either transport; reads block (no timeout) because the
-/// far side always answers every request line.
+/// Whether an I/O error is a read or write timeout firing.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Longest a response write may block before the connection is dropped
+/// (a client that stops reading cannot pin a handler forever).
+const WRITE_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How often the acceptor polls for a new connection, for `done`, and
+/// for a free slot under the connection cap.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// What an open connection does once the endpoint's `done` flag is set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Drain {
+    /// Close at the next idle poll or after the next response.
+    AtIdlePoll,
+    /// Keep answering until the peer hangs up.
+    AtHangup,
+}
+
+/// A handler's claim on one of the loop's connection slots. Dropping it
+/// — when the handler ends, panics included — frees the slot and wakes
+/// the acceptor, so a waiting client or a `SHUTDOWN` that just set
+/// `done` is seen at once rather than at the next poll.
+struct Slot<'a>(&'a AtomicUsize, mpsc::Sender<()>);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+        let _ = self.1.send(());
+    }
+}
+
+/// The one connection loop behind every line-protocol endpoint: one
+/// acceptor, one handler thread per connection and at most
+/// `max_connections` open (further clients wait in the kernel backlog).
+/// Each connection gets a fresh handler from `connection`, which turns
+/// a request line into a response line; reads poll every
+/// `read_timeout` and keep partial lines, hostile lines earn typed
+/// `ERR`s, and a write that blocks 10 s drops the connection.
+///
+/// A handler sets `done` to end the endpoint. Then: stop accepting,
+/// drop the listener at once (a late dial is refused or reset, never
+/// left in a dead backlog), join the handlers as `drain` says, and
+/// remove the Unix socket file.
+pub fn serve_lines<H, F>(
+    listener: Listener,
+    max_connections: usize,
+    read_timeout: Duration,
+    drain: Drain,
+    done: &AtomicBool,
+    connection: F,
+) where
+    F: Fn() -> H + Sync,
+    H: FnMut(&str) -> String,
+{
+    let socket_file = match &listener {
+        Listener::Unix(_, path) => Some(path.clone()),
+        Listener::Tcp(_) => None,
+    };
+    let closing = || drain == Drain::AtIdlePoll && done.load(Ordering::SeqCst);
+    let (closing, connection) = (&closing, &connection);
+    let open = AtomicUsize::new(0);
+    let (wake, woken) = mpsc::channel();
+    std::thread::scope(|scope| {
+        while !done.load(Ordering::SeqCst) {
+            let accepted = if open.load(Ordering::SeqCst) < max_connections.max(1) {
+                listener.accept().ok()
+            } else {
+                None
+            };
+            // Nothing pending, no free slot, or a transient failure (an
+            // aborted handshake, a full fd table): wait for the next
+            // poll or for a handler to end, whichever comes first.
+            let Some(stream) = accepted else {
+                let _ = woken.recv_timeout(ACCEPT_POLL);
+                continue;
+            };
+            open.fetch_add(1, Ordering::SeqCst);
+            let slot = Slot(&open, wake.clone());
+            scope.spawn(move || {
+                let _slot = slot;
+                serve_connection(stream, read_timeout, closing, connection());
+            });
+        }
+        drop(listener);
+    });
+    if let Some(path) = socket_file {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Repeats `read` through read-timeout polls. `None` ends the
+/// connection: an I/O error, or a poll that finds it `closing`.
+fn polled<T>(
+    closing: &impl Fn() -> bool,
+    mut read: impl FnMut() -> std::io::Result<T>,
+) -> Option<T> {
+    loop {
+        match read() {
+            Ok(value) => return Some(value),
+            Err(e) if is_timeout(&e) && !closing() => {}
+            Err(_) => return None,
+        }
+    }
+}
+
+/// Serves one accepted connection until the peer hangs up, an I/O error,
+/// or `closing` turns true at a poll or after a response.
+fn serve_connection(
+    stream: Stream,
+    read_timeout: Duration,
+    closing: &impl Fn() -> bool,
+    mut handle: impl FnMut(&str) -> String,
+) {
+    if stream.set_timeouts(read_timeout, WRITE_DEADLINE).is_err() {
+        return;
+    }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        let mut response = match polled(closing, || read_line_bounded(&mut reader, &mut buf)) {
+            None | Some(LineStatus::Closed) => return,
+            Some(LineStatus::Overflow) => {
+                // Swallow the rest of the oversized line, then answer
+                // once the connection is back in sync.
+                if polled(closing, || discard_line(&mut reader)) != Some(true) {
+                    return;
+                }
+                buf.clear();
+                format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
+            }
+            Some(LineStatus::Line) => match std::str::from_utf8(&std::mem::take(&mut buf)) {
+                Ok(request) if request.trim().is_empty() => continue,
+                Ok(request) => handle(request.trim()),
+                Err(_) => "ERR request is not valid UTF-8".to_string(),
+            },
+        };
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() || closing() {
+            return;
+        }
+    }
+}
+
+/// How long a [`LineClient`] waits for a TCP connection to be accepted
+/// by the kernel.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long a [`LineClient`] read or write may block: a response slower
+/// than this is reported as a `TimedOut` error instead of a hang.
+const CLIENT_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The one line-protocol client: one request line out, one response
+/// line in, over either transport, with every connect, read and write
+/// under a deadline. After a deadline error the exchange is out of
+/// step; drop the client.
 pub struct LineClient {
     writer: Stream,
-    reader: std::io::BufReader<Stream>,
+    reader: BufReader<Stream>,
 }
 
 /// Request lines in flight per pipeline window — small enough that the
@@ -263,32 +424,40 @@ pub struct LineClient {
 const PIPELINE_WINDOW: usize = 64;
 
 impl LineClient {
-    /// Connects to a line-protocol endpoint at `addr`.
+    /// Connects to a line-protocol endpoint at `addr`, with a 60 s
+    /// deadline on every read and write.
     pub fn connect(addr: &str) -> std::io::Result<LineClient> {
+        LineClient::connect_within(addr, CLIENT_DEADLINE)
+    }
+
+    /// [`LineClient::connect`] with a shorter read/write `deadline` — for
+    /// callers that must notice a stalled endpoint quickly.
+    pub fn connect_within(addr: &str, deadline: Duration) -> std::io::Result<LineClient> {
         let writer = Stream::connect(addr)?;
-        let reader = std::io::BufReader::new(writer.try_clone()?);
+        writer.set_timeouts(deadline, deadline)?;
+        let reader = BufReader::new(writer.try_clone()?);
         Ok(LineClient { writer, reader })
     }
 
-    /// Reads one non-empty response line.
+    /// Reads one response line; a deadline that fires is a `TimedOut`
+    /// error.
     fn recv_line(&mut self) -> std::io::Result<String> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::other("server closed the connection"));
-            }
-            if !line.trim().is_empty() {
-                return Ok(line.trim().to_string());
-            }
-        }
+        use std::io::ErrorKind;
+        let mut buf = Vec::new();
+        let (kind, msg) = match read_line_bounded(&mut self.reader, &mut buf) {
+            Ok(LineStatus::Line) => return Ok(String::from_utf8_lossy(&buf).trim().to_string()),
+            Ok(LineStatus::Closed) => (ErrorKind::UnexpectedEof, "server closed the connection"),
+            Ok(LineStatus::Overflow) => (ErrorKind::InvalidData, "response line too long"),
+            Err(e) if is_timeout(&e) => (ErrorKind::TimedOut, "no response before the deadline"),
+            Err(e) => return Err(e),
+        };
+        Err(std::io::Error::new(kind, msg))
     }
 
     /// Sends one request line and reads its response line verbatim
     /// (`ERR` responses included — the router relays them untouched).
     pub fn ask(&mut self, request: &str) -> std::io::Result<String> {
         self.writer.write_all(format!("{request}\n").as_bytes())?;
-        self.writer.flush()?;
         self.recv_line()
     }
 
@@ -302,7 +471,6 @@ impl LineClient {
             for request in window {
                 self.writer.write_all(format!("{request}\n").as_bytes())?;
             }
-            self.writer.flush()?;
             for _ in window {
                 responses.push(self.recv_line()?);
             }

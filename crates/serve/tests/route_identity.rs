@@ -4,20 +4,13 @@
 //! single direct engine (and a direct run) produces. Plus the fan-out
 //! verbs: summed `STATS`, broadcast `SHUTDOWN`.
 
+mod common;
+
+use common::{socket_path, spawn_server, watchdog};
 use oqsc_serve::{
     direct_outcome_lines, drive_fleet, parse_stats_line, shutdown_socket, stats_socket, DrivePhase,
-    FeedMode, MuxConfig, Router, RouterConfig, Server, ServerConfig,
+    FeedMode, LineClient, MuxConfig, Router, RouterConfig, ServerConfig,
 };
-
-fn socket_path(name: &str) -> String {
-    std::env::temp_dir()
-        .join(format!(
-            "oqsc-route-test-{}-{name}.sock",
-            std::process::id()
-        ))
-        .display()
-        .to_string()
-}
 
 fn tight_config() -> ServerConfig {
     ServerConfig {
@@ -34,61 +27,93 @@ fn tight_config() -> ServerConfig {
 
 #[test]
 fn routed_fleets_match_direct_runs_at_any_engine_count() {
-    const SEED: u64 = 0xD21F7;
-    let direct = direct_outcome_lines(SEED);
-    // Session ids are single-use per engine, so each scenario gets a
-    // fresh stack; between them the grid covers 1/2/4 engines and both
-    // feed shapes.
-    for (scenario, (engine_count, mode)) in [
-        (1usize, FeedMode::Chunks),
-        (2, FeedMode::Chunks),
-        (2, FeedMode::Batched),
-        (4, FeedMode::Batched),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut engine_addrs = Vec::new();
-        let mut engine_handles = Vec::new();
-        for e in 0..engine_count {
-            let path = socket_path(&format!("eng-{scenario}-{e}"));
-            let server = Server::bind(&path, tight_config()).expect("bind engine");
-            engine_addrs.push(path);
-            engine_handles.push(std::thread::spawn(move || server.run().expect("engine")));
+    watchdog(|| {
+        const SEED: u64 = 0xD21F7;
+        let direct = direct_outcome_lines(SEED);
+        // Session ids are single-use per engine, so each scenario gets a
+        // fresh stack; between them the grid covers 1/2/4 engines and both
+        // feed shapes.
+        for (scenario, (engine_count, mode)) in [
+            (1usize, FeedMode::Chunks),
+            (2, FeedMode::Chunks),
+            (2, FeedMode::Batched),
+            (4, FeedMode::Batched),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut engine_addrs = Vec::new();
+            let mut engine_handles = Vec::new();
+            for e in 0..engine_count {
+                let path = socket_path(&format!("eng-{scenario}-{e}"));
+                engine_handles.push(spawn_server(&path, tight_config()));
+                engine_addrs.push(path);
+            }
+            let front = socket_path(&format!("front-{scenario}"));
+            let router = Router::bind(&front, engine_addrs.clone(), RouterConfig::default())
+                .expect("bind router");
+            let router_handle = std::thread::spawn(move || router.run().expect("router"));
+
+            let served = drive_fleet(&front, SEED, mode, DrivePhase::Full).expect("drive");
+            assert_eq!(served, direct, "{engine_count} engines, {mode:?}");
+
+            // Routed STATS is the field-wise sum over the fleet, spread
+            // across engines.
+            let stats = parse_stats_line(&stats_socket(&front).expect("stats")).expect("parse");
+            assert_eq!(stats.finished, direct.len() as u64);
+            if engine_count > 1 {
+                let per_engine: Vec<u64> = engine_addrs
+                    .iter()
+                    .map(|addr| {
+                        parse_stats_line(&stats_socket(addr).expect("engine stats"))
+                            .expect("parse")
+                            .finished
+                    })
+                    .collect();
+                assert_eq!(per_engine.iter().sum::<u64>(), stats.finished);
+                assert!(
+                    per_engine.iter().filter(|&&n| n > 0).count() > 1,
+                    "sessions must actually spread: {per_engine:?}"
+                );
+            }
+
+            // One SHUTDOWN at the router drains every engine behind it.
+            shutdown_socket(&front).expect("broadcast shutdown");
+            router_handle.join().expect("router thread");
+            for handle in engine_handles {
+                handle.join().expect("engine thread");
+            }
         }
-        let front = socket_path(&format!("front-{scenario}"));
-        let router = Router::bind(&front, engine_addrs.clone(), RouterConfig::default())
-            .expect("bind router");
+    });
+}
+
+/// The benchmark's stop sequence through a router, with one connection
+/// slot on the router and one on its engine: the client closes, a fresh
+/// connection sends `SHUTDOWN` at once, and it waits for the freed
+/// slots (router, then engine link) instead of being refused.
+#[test]
+fn routed_shutdown_right_after_a_close_is_answered() {
+    watchdog(|| {
+        let engine_addr = socket_path("close-engine");
+        let one_slot = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let engine_handle = spawn_server(&engine_addr, one_slot);
+        let front = socket_path("close-front");
+        let config = RouterConfig {
+            threads: 1,
+            ..RouterConfig::default()
+        };
+        let router = Router::bind(&front, vec![engine_addr], config).expect("bind router");
         let router_handle = std::thread::spawn(move || router.run().expect("router"));
 
-        let served = drive_fleet(&front, SEED, mode, DrivePhase::Full).expect("drive");
-        assert_eq!(served, direct, "{engine_count} engines, {mode:?}");
-
-        // Routed STATS is the field-wise sum over the fleet, spread
-        // across engines.
-        let stats = parse_stats_line(&stats_socket(&front).expect("stats")).expect("parse");
-        assert_eq!(stats.finished, direct.len() as u64);
-        if engine_count > 1 {
-            let per_engine: Vec<u64> = engine_addrs
-                .iter()
-                .map(|addr| {
-                    parse_stats_line(&stats_socket(addr).expect("engine stats"))
-                        .expect("parse")
-                        .finished
-                })
-                .collect();
-            assert_eq!(per_engine.iter().sum::<u64>(), stats.finished);
-            assert!(
-                per_engine.iter().filter(|&&n| n > 0).count() > 1,
-                "sessions must actually spread: {per_engine:?}"
-            );
-        }
-
-        // One SHUTDOWN at the router drains every engine behind it.
-        shutdown_socket(&front).expect("broadcast shutdown");
+        let mut client = LineClient::connect(&front).expect("connect");
+        assert_eq!(client.ask("OPEN 1 format 0").expect("open"), "OK 1 0");
+        drop(client);
+        let mut stop = LineClient::connect(&front).expect("connect");
+        assert_eq!(stop.ask("SHUTDOWN").expect("shutdown"), "OK shutdown");
         router_handle.join().expect("router thread");
-        for handle in engine_handles {
-            handle.join().expect("engine thread");
-        }
-    }
+        engine_handle.join().expect("engine thread");
+    });
 }
