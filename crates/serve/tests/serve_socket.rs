@@ -193,6 +193,38 @@ fn bind_replaces_stale_sockets_but_refuses_live_servers_and_files() {
     });
 }
 
+/// Protocol errors get an `ERR` and leave the session and the
+/// connection usable: unknown verbs and sessions, a duplicate open, a
+/// truncated batch, a double finish.
+#[test]
+fn protocol_errors_leave_the_connection_usable() {
+    watchdog(|| {
+        let path = socket_path("errors");
+        let handle = spawn_server(&path, ServerConfig::default());
+        let mut client = RawClient::connect(&path);
+
+        assert!(client.ask("NONSENSE").starts_with("ERR "));
+        assert!(client.ask("FEED 99 1#0").starts_with("ERR unknown session"));
+        assert_eq!(client.ask("OPEN 1 format 0"), "OK 1 0");
+        assert!(
+            client.ask("OPEN 1 format 0").starts_with("ERR "),
+            "duplicate open"
+        );
+        assert_eq!(client.ask("FEED 1 1#01"), "OK 1 4");
+        assert!(
+            client.ask("FEEDS 1 3 01").starts_with("ERR "),
+            "truncated batch"
+        );
+        assert_eq!(client.ask("FEEDS 1 2 1# 01"), "OK 1 8", "batched feed");
+        let outcome = client.ask("FINISH 1");
+        assert!(outcome.starts_with("OUTCOME 1 "), "got: {outcome}");
+        assert!(client.ask("FINISH 1").starts_with("ERR "), "double finish");
+
+        assert_eq!(client.ask("SHUTDOWN"), "OK shutdown");
+        handle.join().expect("server thread");
+    });
+}
+
 /// At the connection cap a new client waits in the backlog: with one
 /// connection slot held by an idle client, a second client's request
 /// runs into its own read deadline (a typed error, not a block and not
