@@ -11,7 +11,7 @@
 //!   `DONE` rejection, sweep-identity checks, and store-backed resume.
 //!
 //! * a worker dialling a coordinator whose sweep is already complete
-//!   (lease connection and heartbeat both) cannot hang either side.
+//!   is refused at once and cannot hang either side.
 //!
 //! The binary-level version (SIGKILL a worker process mid-sweep, then
 //! resume the coordinator from its store) runs in CI's fabric smoke.
@@ -22,10 +22,13 @@ mod common;
 use common::{watchdog, RawClient};
 use oqsc_bench::{
     fabric_work, fleet_outcomes, split_fabric_instance_id, Coordinator, FabricConfig, FabricState,
-    SweepSpec, WorkerConfig,
+    PoolError, SweepSpec, WorkerConfig,
 };
 use oqsc_machine::{BatchRunner, SessionSchedule};
-use oqsc_serve::{fabric_request_line, parse_fabric_response, FabricRequest, FabricResponse};
+use oqsc_serve::{
+    fabric_request_line, parse_fabric_response, FabricRequest, FabricResponse, Stream,
+};
+use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -157,13 +160,12 @@ fn f1_fabric_survives_a_mid_lease_death() {
 }
 
 /// The completion hang, pinned. A sweep is finished by hand over a raw
-/// connection that stays open, so the coordinator is still serving;
-/// then a worker arrives, dialling its lease connection and its
-/// heartbeat after completion. The coordinator dropped its listener on
-/// completion, so the late worker is refused at once (or, dialled in
-/// the instant before, answered `FINISHED`) instead of waiting forever
-/// in a backlog nobody accepts from — and the coordinator still returns
-/// its rows once the raw connection hangs up.
+/// connection that stays open, so the coordinator is still serving.
+/// It must still drop its listener at once: a dial after completion is
+/// refused rather than left forever in a backlog nobody accepts from.
+/// So a worker that arrives then fails at once with the refused connect
+/// (the contract for a late worker, DESIGN §13), and the coordinator
+/// still returns its rows once the raw connection hangs up.
 #[test]
 fn a_worker_dialling_after_completion_cannot_hang_the_fabric() {
     watchdog(|| {
@@ -201,24 +203,22 @@ fn a_worker_dialling_after_completion_cannot_hang_the_fabric() {
         }
         assert_eq!(raw.ask(lease_line), "FINISHED", "the sweep is complete");
 
+        // The acceptor sees completion within a poll; until it does, a
+        // probe is accepted and hung up on. A listener kept open while
+        // `raw` is served never refuses, and the watchdog fails the test.
+        while Stream::connect(&addr).is_ok() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let dialled = Instant::now();
-        let late = fabric_work(
-            &addr,
-            spec,
-            &WorkerConfig {
-                worker_id: 5,
-                heartbeat_every: Duration::from_millis(10),
-                ..WorkerConfig::default()
-            },
-        );
-        // Refused at once, not rescued by the client's read deadline.
+        let late = fabric_work(&addr, spec, &WorkerConfig::default());
         assert!(
             dialled.elapsed() < Duration::from_secs(10),
             "the late worker took {:?}",
             dialled.elapsed()
         );
-        if let Ok(report) = late {
-            assert_eq!(report.leases, 0, "nothing is left to lease");
+        match late {
+            Err(PoolError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionRefused, "{e}"),
+            other => panic!("a worker dialling after completion must be refused, got {other:?}"),
         }
         drop(raw);
         assert_eq!(coord.join().expect("coordinator thread"), reference);

@@ -7,6 +7,7 @@
 //! allocation proportional to what the client *claims* to be sending,
 //! and never a slow writer's request truncated at a read poll.
 
+#[path = "../../serve/tests/common/mod.rs"]
 mod common;
 
 use common::{socket_path, watchdog, RawClient};
@@ -181,23 +182,13 @@ fn hostile_lines_get_typed_errors_and_the_connection_survives() {
             }
 
             // After all of that abuse, the same connection still answers
-            // a valid request — and a serving endpoint still serves a
-            // session end to end.
+            // a valid request.
             let (request, expected) = endpoint.valid();
             assert_eq!(client.ask(request), expected, "{kind:?}");
-            if !matches!(kind, Kind::Coordinator) {
-                // The engine's own refusals, relayed verbatim by a router.
-                let unknown = client.ask("FEED 99 1#0");
-                assert!(unknown.starts_with("ERR unknown session"), "{unknown}");
-                assert_eq!(client.ask("OPEN 5 format 0"), "OK 5 0");
-                let again = client.ask("OPEN 5 format 0");
-                assert!(again.starts_with("ERR "), "duplicate open: {again}");
-                assert_eq!(client.ask("FEED 5 1#01"), "OK 5 4");
-                assert_eq!(client.ask("FEEDS 5 2 1# 01"), "OK 5 8");
-                let outcome = client.ask("FINISH 5");
-                assert!(outcome.starts_with("OUTCOME 5 "), "got: {outcome}");
-                let twice = client.ask("FINISH 5");
-                assert!(twice.starts_with("ERR "), "double finish: {twice}");
+            if let Kind::Router = kind {
+                // The engine's own refusals, relayed verbatim (the server
+                // meets them in `serve_socket.rs`).
+                common::assert_engine_refusals(&mut client);
             }
             endpoint.stop(client);
         }

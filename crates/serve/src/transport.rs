@@ -121,6 +121,20 @@ impl Listener {
     }
 }
 
+/// Dials each address `addrs` resolves to in turn, under the connect
+/// deadline: the first that answers wins, else the last error stands
+/// (`localhost` may resolve to `::1` ahead of a server on 127.0.0.1).
+fn dial_tcp(addrs: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::other("the address resolves to nothing");
+    for addr in addrs.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, CONNECT_DEADLINE) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 /// One connection on either transport.
 pub enum Stream {
     /// A Unix-socket connection.
@@ -131,15 +145,15 @@ pub enum Stream {
 
 impl Stream {
     /// Connects to `addr` on the transport its shape selects. A TCP
-    /// connect gives up after 5 s; a Unix connect
-    /// either lands in the listener's backlog or is refused at once.
+    /// connect tries each address `addr` resolves to, giving up on each
+    /// after 5 s; a Unix connect either lands in the listener's backlog
+    /// or is refused at once.
     pub fn connect(addr: &str) -> std::io::Result<Stream> {
-        if !is_tcp_addr(addr) {
-            return UnixStream::connect(addr).map(Stream::Unix);
+        if is_tcp_addr(addr) {
+            dial_tcp(addr).map(Stream::Tcp)
+        } else {
+            UnixStream::connect(addr).map(Stream::Unix)
         }
-        let no_address = || std::io::Error::other(format!("{addr} resolves to no address"));
-        let sock = addr.to_socket_addrs()?.next().ok_or_else(no_address)?;
-        TcpStream::connect_timeout(&sock, CONNECT_DEADLINE).map(Stream::Tcp)
     }
 
     /// An independently owned handle to the same connection.
@@ -427,14 +441,8 @@ impl LineClient {
     /// Connects to a line-protocol endpoint at `addr`, with a 60 s
     /// deadline on every read and write.
     pub fn connect(addr: &str) -> std::io::Result<LineClient> {
-        LineClient::connect_within(addr, CLIENT_DEADLINE)
-    }
-
-    /// [`LineClient::connect`] with a shorter read/write `deadline` — for
-    /// callers that must notice a stalled endpoint quickly.
-    pub fn connect_within(addr: &str, deadline: Duration) -> std::io::Result<LineClient> {
         let writer = Stream::connect(addr)?;
-        writer.set_timeouts(deadline, deadline)?;
+        writer.set_timeouts(CLIENT_DEADLINE, CLIENT_DEADLINE)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(LineClient { writer, reader })
     }
@@ -531,6 +539,23 @@ mod tests {
             LineStatus::Line
         );
         assert_eq!(buf, b"TAIL");
+    }
+
+    #[test]
+    fn tcp_dials_every_resolved_address_until_one_answers() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let live = listener.local_addr().expect("bound address");
+        // `localhost` names a server bound on 127.0.0.1 whatever order
+        // the resolver lists its addresses in.
+        Stream::connect(&format!("localhost:{}", live.port())).expect("dial localhost");
+        // A refused first address falls through to the live second one.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        dial_tcp(&[dead, live][..]).expect("second address answers");
+        let refused = dial_tcp(&[dead][..]).expect_err("nothing listens");
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

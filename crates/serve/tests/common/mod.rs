@@ -1,7 +1,8 @@
-//! Helpers shared by the socket suites (the bench crate's fabric and
-//! process-pool suites include this file too): a watchdog that turns a
-//! hang into a failure, per-test socket paths, and a raw line client
-//! whose reads and writes all have deadlines.
+//! Helpers shared by the socket suites (the bench crate's fabric,
+//! process-pool and hostile-line suites include this file too): a
+//! watchdog that turns a hang into a failure, per-test socket paths, a
+//! raw line client whose reads and writes all have deadlines, and the
+//! serving engine's refusal checks.
 #![allow(dead_code)]
 
 use oqsc_serve::{MuxStats, Server, ServerConfig, Stream};
@@ -58,12 +59,26 @@ pub struct RawClient {
 
 impl RawClient {
     pub fn connect(addr: &str) -> RawClient {
+        RawClient::with_deadline(addr, RAW_DEADLINE)
+    }
+
+    /// A client whose every read and write gives up after `deadline`.
+    pub fn with_deadline(addr: &str, deadline: Duration) -> RawClient {
         let writer = Stream::connect(addr).expect("connect");
         writer
-            .set_timeouts(RAW_DEADLINE, RAW_DEADLINE)
+            .set_timeouts(deadline, deadline)
             .expect("set deadlines");
         let reader = BufReader::new(writer.try_clone().expect("clone"));
         RawClient { writer, reader }
+    }
+
+    /// Sends one request line and reads its response, handing back an
+    /// I/O error (a deadline firing included) instead of failing.
+    pub fn try_ask(&mut self, line: &str) -> std::io::Result<String> {
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
+        let mut response = String::new();
+        self.reader.read_line(&mut response)?;
+        Ok(response.trim().to_string())
     }
 
     /// Reads one full response line.
@@ -97,4 +112,28 @@ impl RawClient {
     pub fn ask(&mut self, line: &str) -> String {
         self.send_raw(format!("{line}\n").as_bytes())
     }
+}
+
+/// The serving engine's own refusals on one connection: an unknown verb
+/// and session, a duplicate open, a truncated batch and a double finish
+/// each earn an `ERR`, and session 5 is still served end to end between
+/// them. Run against a server directly and through a router.
+pub fn assert_engine_refusals(client: &mut RawClient) {
+    assert!(client.ask("NONSENSE").starts_with("ERR "));
+    let unknown = client.ask("FEED 99 1#0");
+    assert!(unknown.starts_with("ERR unknown session"), "{unknown}");
+    assert_eq!(client.ask("OPEN 5 format 0"), "OK 5 0");
+    let again = client.ask("OPEN 5 format 0");
+    assert!(again.starts_with("ERR "), "duplicate open: {again}");
+    assert_eq!(client.ask("FEED 5 1#01"), "OK 5 4");
+    let truncated = client.ask("FEEDS 5 3 01");
+    assert!(
+        truncated.starts_with("ERR "),
+        "truncated batch: {truncated}"
+    );
+    assert_eq!(client.ask("FEEDS 5 2 1# 01"), "OK 5 8", "batched feed");
+    let outcome = client.ask("FINISH 5");
+    assert!(outcome.starts_with("OUTCOME 5 "), "got: {outcome}");
+    let twice = client.ask("FINISH 5");
+    assert!(twice.starts_with("ERR "), "double finish: {twice}");
 }

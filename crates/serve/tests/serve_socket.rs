@@ -13,6 +13,7 @@ use oqsc_serve::{
     direct_outcome_lines, drive_fleet, drive_socket, shutdown_socket, stats_socket, DrivePhase,
     FeedMode, LineClient, MuxConfig, Server, ServerConfig,
 };
+use std::io::ErrorKind;
 use std::os::unix::net::UnixListener;
 use std::time::Duration;
 
@@ -202,24 +203,7 @@ fn protocol_errors_leave_the_connection_usable() {
         let path = socket_path("errors");
         let handle = spawn_server(&path, ServerConfig::default());
         let mut client = RawClient::connect(&path);
-
-        assert!(client.ask("NONSENSE").starts_with("ERR "));
-        assert!(client.ask("FEED 99 1#0").starts_with("ERR unknown session"));
-        assert_eq!(client.ask("OPEN 1 format 0"), "OK 1 0");
-        assert!(
-            client.ask("OPEN 1 format 0").starts_with("ERR "),
-            "duplicate open"
-        );
-        assert_eq!(client.ask("FEED 1 1#01"), "OK 1 4");
-        assert!(
-            client.ask("FEEDS 1 3 01").starts_with("ERR "),
-            "truncated batch"
-        );
-        assert_eq!(client.ask("FEEDS 1 2 1# 01"), "OK 1 8", "batched feed");
-        let outcome = client.ask("FINISH 1");
-        assert!(outcome.starts_with("OUTCOME 1 "), "got: {outcome}");
-        assert!(client.ask("FINISH 1").starts_with("ERR "), "double finish");
-
+        common::assert_engine_refusals(&mut client);
         assert_eq!(client.ask("SHUTDOWN"), "OK shutdown");
         handle.join().expect("server thread");
     });
@@ -247,10 +231,12 @@ fn a_full_server_makes_clients_wait_and_serves_them_once_a_slot_frees() {
         let mut idle = RawClient::connect(&path);
         assert_eq!(idle.ask("OPEN 1 format 0"), "OK 1 0");
 
-        let mut waiting =
-            LineClient::connect_within(&path, Duration::from_millis(300)).expect("connect");
-        let err = waiting.ask("STATS").expect_err("no slot: no answer");
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        let mut waiting = RawClient::with_deadline(&path, Duration::from_millis(300));
+        let err = waiting.try_ask("STATS").expect_err("no slot: no answer");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "a deadline error, got {err}"
+        );
         drop(waiting);
 
         drop(idle);
