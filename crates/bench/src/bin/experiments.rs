@@ -1,17 +1,19 @@
 //! Regenerates every experiment table of `EXPERIMENTS.md` — and drives
-//! single sweeps in-process, across OS worker processes, and through
-//! the persistent checkpoint store.
+//! single sweeps in-process, through the persistent checkpoint store,
+//! and on the sweep fabric.
 //!
 //! ```text
 //! # all tables (classic mode)
 //! cargo run --release -p oqsc-bench --bin experiments \
 //!     [-- --workers N] [--checkpoint-every N]
 //!
-//! # one sweep, optionally sharded over worker processes and/or
-//! # persisted so a killed run can resume
+//! # one sweep, optionally persisted so a killed run can resume
 //! experiments --sweep e6|f1|f3|f4 [--k-max K] [--trials T] [--workers N]
-//!             [--processes P] [--store PREFIX [--resume]]
-//!             [--checkpoint-every N]
+//!             [--store PREFIX [--resume]] [--checkpoint-every N]
+//!
+//! # the same sweep on a local fabric of P worker processes
+//! experiments --sweep e6|f1|f3|f4 [--k-max K] [--trials T] [--workers N]
+//!             --processes P [--store PREFIX [--resume]]
 //!
 //! # rewrite resume-heavy store files down to one record per instance
 //! experiments --compact PREFIX [--break-locks]
@@ -21,8 +23,7 @@
 //!
 //! # session-multiplexing server (Unix socket or TCP), and its driver
 //! experiments --serve ADDR [--workers N] [--live-budget BYTES]
-//!             [--eviction lru|gdsf] [--spill-store PATH]
-//!             [--read-timeout-ms T]
+//!             [--spill-store PATH] [--read-timeout-ms T]
 //! experiments --drive ADDR [--feeds] [--drive-phase 1|2]
 //! experiments --drive-direct       # same fleet, no server — for cmp
 //! experiments --shutdown ADDR
@@ -46,19 +47,26 @@
 //!
 //! * `--trials T` — Monte-Carlo fleet size for the f3/f4 sweeps
 //!   (rejected for e6/f1, whose fleets are sized by `--k-max` alone).
-//! * `--processes P` — shard the sweep over `P` OS worker processes
-//!   (this same binary re-executed in `--worker` mode); the merged
-//!   table is byte-identical to the in-process one.
-//! * `--store PREFIX` — persist checkpoints every `--checkpoint-every`
-//!   tokens into per-shard store files `PREFIX.<fleet>.shard<w>of<P>.cps`,
-//!   plus an outcome record whenever an instance finishes, so a resumed
-//!   sweep skips finished instances outright. A fresh run refuses stale
-//!   store files; pass `--resume` to recover them (salvaging any
-//!   crash-truncated tail) and continue from the last persisted
-//!   boundaries.
-//! * `--crash-after-tokens T` — testing hook: stop dead after feeding
-//!   `T` tokens per fleet (exit code 9), simulating a kill; a later
-//!   `--resume` run completes the sweep with the identical table.
+//! * `--processes P` — run the sweep on a local fabric: a coordinator
+//!   on a private Unix socket plus `P` children of this binary in
+//!   `--fabric-work` mode (each with `--workers N` threads when given);
+//!   the merged table is byte-identical to the in-process one. `P` is
+//!   capped at half the coordinator's connection cap, since every
+//!   worker holds two connections.
+//! * `--store PREFIX` — in process: persist checkpoints every
+//!   `--checkpoint-every` tokens into one store file per fleet,
+//!   `PREFIX.<fleet>.shard0of1.cps`, plus an outcome record whenever an
+//!   instance finishes, so a resumed sweep skips finished instances
+//!   outright and continues unfinished ones mid-word. With
+//!   `--processes`: persist the coordinator's outcome ledger at
+//!   `PREFIX.ledger.cps`; a resume re-runs only the unfinished
+//!   instances, each from its start. Either way a fresh run refuses
+//!   stale store files; pass `--resume` to recover them (salvaging any
+//!   crash-truncated tail) and continue.
+//! * `--crash-after-tokens T` — testing hook for in-process `--store`:
+//!   stop dead after feeding `T` tokens per fleet (exit code 9),
+//!   simulating a kill; a later `--resume` run completes the sweep with
+//!   the identical table.
 //!
 //! `--compact PREFIX` rewrites every store file under the prefix down
 //! to one record per instance (its outcome if finished, its latest
@@ -72,16 +80,15 @@
 //! prefix: format version, record counts (full vs dedupe-ref and the
 //! dedupe hit rate), stored vs uncompressed payload bytes and the
 //! compression ratio — the same columns the `--compact` report shows
-//! before/after. `--store-format 2` makes a `--store` sweep write its
-//! fresh shard stores in the legacy v2 format (raw payloads), which is
-//! how CI exercises the v2 → v3 upgrade path end to end.
+//! before/after. `--store-format 2` makes an in-process `--store` sweep
+//! write its fresh stores in the legacy v2 format (raw payloads), which
+//! is how CI exercises the v2 → v3 upgrade path end to end.
 //!
 //! `--serve ADDR` runs the `oqsc-serve` session-multiplexing engine
 //! behind its line protocol — `ADDR` is a Unix socket path, or
 //! `host:port` for TCP (`--workers N` caps the connections served at
 //! once; further clients wait until one closes) — until a client sends
-//! `SHUTDOWN`. `--eviction lru|gdsf`
-//! picks the live-tier eviction policy, `--spill-store PATH` attaches a
+//! `SHUTDOWN`. `--spill-store PATH` attaches a
 //! durable spill tier (mid-stream sessions are flushed there on
 //! shutdown and rehydrated by the next `--serve` on the same path), and
 //! `--read-timeout-ms T` tunes the per-connection read poll. `--drive
@@ -104,23 +111,25 @@
 //! Out-of-range values are rejected up front with a clear message,
 //! never silently clamped or panicked on.
 
-use oqsc_bench::fabric::{fabric_work, Coordinator, FabricConfig, WorkerConfig};
-use oqsc_bench::pool::{
-    find_store_files, worker_outcomes, PoolError, PoolRunOpts, ShardId, SweepSpec,
+use oqsc_bench::fabric::{
+    fabric_work, run_local_fabric, Coordinator, FabricConfig, WorkerConfig, MAX_CONNECTIONS,
 };
-use oqsc_bench::{emit_outcomes, ProcessPool, WORKER_CRASH_EXIT};
+use oqsc_bench::pool::{find_store_files, ledger_store_path, StoreRunOpts, SweepSpec, CRASH_EXIT};
 use oqsc_machine::{BatchRunner, CheckpointStore, SessionSchedule, StoreError};
 use oqsc_serve::{
-    direct_outcome_lines, drive_fleet, shutdown_socket, stats_line, DrivePhase, EvictionPolicy,
-    FeedMode, Router, RouterConfig, Server, ServerConfig,
+    direct_outcome_lines, drive_fleet, shutdown_socket, stats_line, DrivePhase, FeedMode, Router,
+    RouterConfig, Server, ServerConfig,
 };
 
 /// Upper bound on `--workers`: far above any real machine, low enough to
 /// catch a mistyped value before it spawns a few million threads.
 const MAX_WORKERS: usize = 4096;
 
-/// Upper bound on `--processes` (same rationale, for OS processes).
-const MAX_PROCESSES: usize = 256;
+/// Upper bound on `--processes`: every local fabric worker holds two
+/// coordinator connections (lease and heartbeat). Past the cap,
+/// accepted heartbeats could starve lease connections left waiting in
+/// the backlog.
+const MAX_PROCESSES: usize = MAX_CONNECTIONS / 2;
 
 /// Upper bound on `--k-max`: `k = 8` already streams 5·10⁷ symbols.
 const MAX_K: u32 = 8;
@@ -164,9 +173,6 @@ struct Cli {
     resume: bool,
     crash_after_tokens: Option<u64>,
     checkpoint_every: Option<usize>,
-    worker: bool,
-    shard: Option<usize>,
-    of: Option<usize>,
     compact: Option<std::path::PathBuf>,
     store_stats: Option<std::path::PathBuf>,
     store_format: Option<u8>,
@@ -175,7 +181,6 @@ struct Cli {
     bench_reduced: bool,
     serve: Option<String>,
     live_budget: Option<usize>,
-    eviction: Option<EvictionPolicy>,
     spill_store: Option<std::path::PathBuf>,
     read_timeout_ms: Option<u64>,
     route: Option<String>,
@@ -196,14 +201,14 @@ struct Cli {
 fn usage_and_exit(code: i32) -> ! {
     println!("usage: experiments [--workers N] [--checkpoint-every N]");
     println!("       experiments --sweep e6|f1|f3|f4 [--k-max K] [--trials T] [--workers N]");
-    println!(
-        "                   [--processes P] [--store PREFIX [--resume]] [--checkpoint-every N]"
-    );
+    println!("                   [--store PREFIX [--resume]] [--checkpoint-every N]");
+    println!("       experiments --sweep e6|f1|f3|f4 [--k-max K] [--trials T] [--workers N]");
+    println!("                   --processes P [--store PREFIX [--resume]]");
     println!("       experiments --compact PREFIX [--break-locks]");
     println!("       experiments --store-stats PREFIX [--break-locks]");
     println!("       experiments --bench-json PATH [--bench-reduced]");
     println!("       experiments --serve ADDR [--workers N] [--live-budget BYTES]");
-    println!("                   [--eviction lru|gdsf] [--spill-store PATH] [--read-timeout-ms T]");
+    println!("                   [--spill-store PATH] [--read-timeout-ms T]");
     println!("       experiments --route ADDR --engines A1,A2,... [--workers N]");
     println!("                   [--read-timeout-ms T]");
     println!("       experiments --drive ADDR [--feeds] [--drive-phase 1|2]");
@@ -221,15 +226,16 @@ fn usage_and_exit(code: i32) -> ! {
     println!("  --k-max K              sweep size, 1..={MAX_K} (default: e6 7, f1 8, f3 3, f4 4)");
     println!("  --trials T             f3/f4 Monte-Carlo fleet size, 1..={MAX_TRIALS}");
     println!("                         (default: f3 4000, f4 400; rejected for e6/f1)");
-    println!(
-        "  --processes P          shard the sweep over P worker processes, 1..={MAX_PROCESSES}"
-    );
+    println!("  --processes P          run the sweep on a local fabric of P worker processes,");
+    println!("                         1..={MAX_PROCESSES}");
     println!("  --store PREFIX         persist checkpoints + finished outcomes to");
-    println!("                         PREFIX.<fleet>.shard<w>of<P>.cps");
-    println!("  --resume               recover existing shard stores, skip finished instances,");
+    println!("                         PREFIX.<fleet>.shard0of1.cps; with --processes, the");
+    println!("                         coordinator's outcome ledger to PREFIX.ledger.cps");
+    println!("  --resume               recover existing stores, skip finished instances,");
     println!("                         and continue");
-    println!("  --crash-after-tokens T testing hook: die after T tokens per fleet (needs --store)");
-    println!("  --store-format 2|3     with --store: format for fresh shard stores");
+    println!("  --crash-after-tokens T testing hook: die after T tokens per fleet (needs --store,");
+    println!("                         not --processes)");
+    println!("  --store-format 2|3     with --store, not --processes: format for fresh stores");
     println!("                         (default 3; 2 writes legacy uncompressed logs)");
     println!("  --compact PREFIX       rewrite each store under PREFIX to one record per");
     println!("                         instance (atomic rename); resumes stay bit-identical;");
@@ -245,11 +251,6 @@ fn usage_and_exit(code: i32) -> ! {
     println!("                         served at once; more clients wait their turn)");
     println!("  --live-budget BYTES    with --serve: hot-tier byte budget for live sessions");
     println!("                         (default 64 MiB; 0 = suspend after every feed)");
-    println!("  --eviction lru|gdsf    with --serve: live-tier eviction policy");
-    println!(
-        "                         (default {})",
-        EvictionPolicy::default().name()
-    );
     println!("  --spill-store PATH     with --serve: durable spill tier; mid-stream sessions");
     println!("                         are flushed there on SHUTDOWN and rehydrated by the");
     println!("                         next --serve on the same path");
@@ -319,9 +320,6 @@ fn parse_cli() -> Cli {
         resume: false,
         crash_after_tokens: None,
         checkpoint_every: None,
-        worker: false,
-        shard: None,
-        of: None,
         compact: None,
         store_stats: None,
         store_format: None,
@@ -330,7 +328,6 @@ fn parse_cli() -> Cli {
         bench_reduced: false,
         serve: None,
         live_budget: None,
-        eviction: None,
         spill_store: None,
         read_timeout_ms: None,
         route: None,
@@ -445,13 +442,6 @@ fn parse_cli() -> Cli {
                     |_: &usize| true,
                 ));
             }
-            "--eviction" => {
-                let raw = args.next();
-                match raw.as_deref().and_then(EvictionPolicy::from_name) {
-                    Some(policy) => cli.eviction = Some(policy),
-                    None => bad_value("--eviction", raw, "lru or gdsf"),
-                }
-            }
             "--spill-store" => match args.next() {
                 Some(p) if !p.is_empty() => cli.spill_store = Some(p.into()),
                 raw => bad_value("--spill-store", raw, "a checkpoint-store path"),
@@ -541,23 +531,6 @@ fn parse_cli() -> Cli {
                     |_: &u64| true,
                 ));
             }
-            "--worker" => cli.worker = true,
-            "--shard" => {
-                cli.shard = Some(parse_num(
-                    &mut args,
-                    "--shard",
-                    "a shard index",
-                    |_: &usize| true,
-                ));
-            }
-            "--of" => {
-                cli.of = Some(parse_num(
-                    &mut args,
-                    "--of",
-                    &format!("an integer between 1 and {MAX_PROCESSES}"),
-                    |n: &usize| (1..=MAX_PROCESSES).contains(n),
-                ));
-            }
             "--help" | "-h" => usage_and_exit(0),
             other => {
                 eprintln!("error: unknown argument: {other}");
@@ -596,7 +569,6 @@ fn parse_cli() -> Cli {
     // Flags owned by one serve-family mode.
     for (set, flag) in [
         (cli.live_budget.is_some(), "--live-budget"),
-        (cli.eviction.is_some(), "--eviction"),
         (cli.spill_store.is_some(), "--spill-store"),
     ] {
         if set && cli.serve.is_none() {
@@ -684,7 +656,6 @@ fn parse_cli() -> Cli {
         }
         for (set, flag) in [
             (cli.processes.is_some(), "--processes"),
-            (cli.worker, "--worker"),
             (cli.crash_after_tokens.is_some(), "--crash-after-tokens"),
             (cli.checkpoint_every.is_some(), "--checkpoint-every"),
             (cli.store_format.is_some(), "--store-format"),
@@ -766,7 +737,6 @@ fn parse_cli() -> Cli {
             (cli.store.is_some(), "--store"),
             (cli.resume, "--resume"),
             (cli.crash_after_tokens.is_some(), "--crash-after-tokens"),
-            (cli.worker, "--worker"),
         ] {
             if set && cli.compact.is_none() {
                 eprintln!("error: {flag} requires --sweep");
@@ -794,39 +764,22 @@ fn parse_cli() -> Cli {
         eprintln!("error: --crash-after-tokens requires --store");
         std::process::exit(2);
     }
-    if cli.worker && (cli.shard.is_none() || cli.of.is_none()) {
-        eprintln!("error: --worker requires --shard and --of");
-        std::process::exit(2);
-    }
-    if let (Some(shard), Some(of)) = (cli.shard, cli.of) {
-        if shard >= of {
-            eprintln!("error: --shard {shard} out of range: must be < --of {of}");
-            std::process::exit(2);
+    // The local fabric resumes whole instances from the coordinator's
+    // outcome ledger; mid-instance checkpoints belong to in-process
+    // --store runs.
+    if cli.processes.is_some() {
+        for (set, flag) in [
+            (cli.checkpoint_every.is_some(), "--checkpoint-every"),
+            (cli.crash_after_tokens.is_some(), "--crash-after-tokens"),
+            (cli.store_format.is_some(), "--store-format"),
+        ] {
+            if set {
+                eprintln!("error: --processes cannot be combined with {flag}");
+                std::process::exit(2);
+            }
         }
     }
-    if !cli.worker && (cli.shard.is_some() || cli.of.is_some()) {
-        eprintln!("error: --shard/--of require --worker");
-        std::process::exit(2);
-    }
     cli
-}
-
-fn pool_opts(cli: &Cli) -> PoolRunOpts {
-    PoolRunOpts {
-        store_prefix: cli.store.clone(),
-        resume: cli.resume,
-        checkpoint_every: cli.checkpoint_every.unwrap_or(DEFAULT_PERSIST_EVERY),
-        crash_after_tokens: cli.crash_after_tokens,
-        legacy_v2: cli.store_format == Some(oqsc_machine::STORE_VERSION_V2),
-        workers: cli.workers.unwrap_or(1),
-    }
-}
-
-fn exit_for(err: &PoolError) -> i32 {
-    match err {
-        PoolError::WorkerCrashed { .. } => WORKER_CRASH_EXIT,
-        _ => 1,
-    }
 }
 
 fn run_sweep(cli: &Cli) -> i32 {
@@ -911,27 +864,8 @@ fn run_sweep(cli: &Cli) -> i32 {
             }
         };
     }
-    if cli.worker {
-        // Worker mode: run our shard, speak the OUTCOME protocol.
-        let shard = ShardId {
-            shard: cli.shard.expect("validated"),
-            of: cli.of.expect("validated"),
-        };
-        return match worker_outcomes(spec, shard, &pool_opts(cli)) {
-            Ok(Some(outcomes)) => {
-                let stdout = std::io::stdout();
-                emit_outcomes(&mut stdout.lock(), &outcomes).expect("stdout");
-                0
-            }
-            Ok(None) => WORKER_CRASH_EXIT,
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        };
-    }
     let rows = if let Some(processes) = cli.processes {
-        // Parent mode: shard over worker processes running this binary.
+        // A local fabric of worker processes running this binary.
         let exe = match std::env::current_exe() {
             Ok(exe) => exe,
             Err(e) => {
@@ -939,38 +873,34 @@ fn run_sweep(cli: &Cli) -> i32 {
                 return 1;
             }
         };
-        match ProcessPool::new(processes).run(&exe, spec, &pool_opts(cli)) {
+        let config = FabricConfig {
+            store_path: cli.store.as_deref().map(ledger_store_path),
+            resume: cli.resume,
+            ..FabricConfig::default()
+        };
+        match run_local_fabric(&exe, spec, processes, cli.workers, config) {
             Ok(rows) => rows,
             Err(e) => {
                 eprintln!("error: {e}");
-                return exit_for(&e);
+                return 1;
             }
         }
-    } else if cli.store.is_some() {
-        // Single-process persistent run: the worker path, in-process.
-        // Unlike spawned worker processes (which default to one serial
-        // thread each), this is the whole sweep — honor the documented
-        // --workers default of all available cores.
-        let mut opts = pool_opts(cli);
-        opts.workers = cli.workers.unwrap_or_else(|| cli.runner.workers());
-        match worker_outcomes(spec, ShardId { shard: 0, of: 1 }, &opts) {
-            Ok(Some(outcomes)) => {
-                let triples = outcomes
-                    .into_iter()
-                    .map(|(fleet, idx, o)| (fleet.to_string(), idx, o));
-                match oqsc_bench::pool::rows_from_outcomes(spec, triples) {
-                    Ok(rows) => rows,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            }
+    } else if let Some(prefix) = &cli.store {
+        // In-process persistent run, checkpointing mid-instance.
+        let opts = StoreRunOpts {
+            prefix: prefix.clone(),
+            resume: cli.resume,
+            checkpoint_every: cli.checkpoint_every.unwrap_or(DEFAULT_PERSIST_EVERY),
+            crash_after_tokens: cli.crash_after_tokens,
+            legacy_v2: cli.store_format == Some(oqsc_machine::STORE_VERSION_V2),
+        };
+        match spec.rows_with_store(&cli.runner, &opts) {
+            Ok(Some(rows)) => rows,
             Ok(None) => {
                 eprintln!(
                     "crashed after --crash-after-tokens budget; resume with --resume to finish"
                 );
-                return WORKER_CRASH_EXIT;
+                return CRASH_EXIT;
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1130,15 +1060,11 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
     if let Some(bytes) = cli.live_budget {
         config.mux.live_bytes_budget = bytes;
     }
-    if let Some(policy) = cli.eviction {
-        config.mux.eviction = policy;
-    }
     if let Some(ms) = cli.read_timeout_ms {
         config.read_timeout = std::time::Duration::from_millis(ms);
     }
     config.spill_store = cli.spill_store.clone();
     let threads = config.threads;
-    let eviction = config.mux.eviction;
     let server = match Server::bind(addr, config) {
         Ok(server) => server,
         Err(e) => {
@@ -1147,9 +1073,8 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
         }
     };
     eprintln!(
-        "serving on {addr} (up to {threads} connection{} at once, {} eviction); stop with --shutdown",
+        "serving on {addr} (up to {threads} connection{} at once); stop with --shutdown",
         if threads == 1 { "" } else { "s" },
-        eviction.name(),
     );
     match server.run() {
         Ok(stats) => {

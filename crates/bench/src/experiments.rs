@@ -351,7 +351,7 @@ pub fn e6_instance_count(k_max: u32) -> usize {
 /// word, odd ones its non-member word, machines and words both derived
 /// from the per-`k` seed alone. A pure function of `i`, so the sweep is
 /// worker-count independent in-process and re-derivable inside a worker
-/// *process* (the cross-process scheduler ships indices, not machines).
+/// *process* (the fabric ships indices, not machines).
 pub fn e6_task(i: usize) -> (Prop37Decider, std::vec::IntoIter<oqsc_lang::Sym>) {
     let k = 1 + (i / 2) as u32;
     let mut rng = StdRng::seed_from_u64(4000 + u64::from(k));
@@ -402,7 +402,7 @@ pub fn e6_classical_rows(
 }
 
 /// Prints an E6 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// fabric outcomes — identical rows print identical bytes).
 pub fn print_e6_rows(rows: &[E6Row]) {
     println!("E6 (Proposition 3.7) — classical Θ(n^(1/3)) decider");
     println!(
@@ -462,7 +462,7 @@ pub fn f1_seeds(k_max: u32) -> Vec<u64> {
 }
 
 /// Prints an F1 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// fabric outcomes — identical rows print identical bytes).
 pub fn print_f1_rows(rows: &[SeparationRow]) {
     println!("F1 — the separation: space to recognize L_DISJ online, vs input length");
     println!(
@@ -584,7 +584,7 @@ pub const F3_DEFAULT_TRIALS: usize = 4000;
 
 /// Folds F3's per-`k` fleet [`oqsc_machine::BatchReport`]s (fleet `i` =
 /// parameter `k = i + 1`) into table rows — the single row-merge
-/// definition shared by the in-process sweep and the cross-process
+/// definition shared by the in-process sweep and the fabric
 /// scheduler, so both print identical bytes.
 pub fn f3_rows_from_reports(k_max: u32, reports: &[oqsc_machine::BatchReport]) -> Vec<F3Row> {
     (1..=k_max)
@@ -614,7 +614,7 @@ pub fn f3_fingerprint_rows(
 }
 
 /// Prints an F3 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// fabric outcomes — identical rows print identical bytes).
 pub fn print_f3_rows(rows: &[F3Row]) {
     println!("F3 — A2 fingerprint false-accept rate on corrupted words (one-sided soundness)");
     println!("{:>3} {:>12} {:>16}", "k", "empirical", "2·(m−1)/2^4k");
@@ -661,7 +661,7 @@ pub const F4_DEFAULT_TRIALS: usize = 400;
 
 /// The sketch budgets F4 sweeps at `k`: the powers of two up to the
 /// string length `m`. One decider fleet per budget — shared by the
-/// in-process sweep and the cross-process shard derivation.
+/// in-process sweep and the fabric workers.
 pub fn f4_budgets(k: u32) -> Vec<usize> {
     let m = string_len(k);
     [1usize, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -672,7 +672,7 @@ pub fn f4_budgets(k: u32) -> Vec<usize> {
 
 /// Folds F4's per-budget fleet [`oqsc_machine::BatchReport`]s (fleet `i`
 /// = `f4_budgets(k)[i]`) into table rows — the single row-merge
-/// definition shared by the in-process sweep and the cross-process
+/// definition shared by the in-process sweep and the fabric
 /// scheduler.
 pub fn f4_rows_from_reports(k: u32, reports: &[oqsc_machine::BatchReport]) -> Vec<F4Row> {
     let m = string_len(k);
@@ -705,7 +705,7 @@ pub fn f4_sketch_rows(
 }
 
 /// Prints an F4 table at parameter `k` (any source: in-process sweep or
-/// merged cross-process shards).
+/// the fabric's merged outcomes).
 pub fn print_f4_rows(k: u32, rows: &[F4Row]) {
     println!(
         "F4 — classical sketches below √m fail (k = {k}, m = {}, planted t = 1)",

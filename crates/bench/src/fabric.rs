@@ -1,16 +1,18 @@
-//! The distributed sweep fabric: shard a sweep over *machines*.
+//! The sweep fabric: shard a sweep over worker processes, local or on
+//! other machines.
 //!
-//! Threads (PR 2) and processes (PR 4) scale a sweep inside one box;
-//! this module adds the last scheduling axis from the ROADMAP. A
-//! [`Coordinator`] owns the [`SweepSpec`], the merge ledger
-//! ([`OutcomeLedger`]) and — optionally — an authoritative
-//! [`CheckpointStore`] of finished outcomes, and serves the line
-//! protocol of [`oqsc_serve::protocol`] (the worker pool's `OUTCOME`
-//! lines plus `LEASE`/`RENEW`/`HEARTBEAT`/`DONE`) over a Unix or TCP
-//! socket. [`fabric_work`] is the worker loop: lease a contiguous
-//! instance range, re-derive the instances from the spec (nothing but
-//! indices crosses the wire, exactly like process-pool workers), report
-//! one `OUTCOME` line each, retire the lease with `DONE`.
+//! Threads scale a sweep inside one process; the fabric is the one
+//! network scheduler beyond that. A [`Coordinator`] owns the
+//! [`SweepSpec`], the merge ledger ([`OutcomeLedger`]) and — optionally
+//! — an authoritative [`CheckpointStore`] of finished outcomes, and
+//! serves the line protocol of [`oqsc_serve::protocol`] (`OUTCOME` lines
+//! plus `LEASE`/`RENEW`/`HEARTBEAT`/`DONE`) over a Unix or TCP socket.
+//! [`fabric_work`] is the worker loop: lease a contiguous instance
+//! range, re-derive the instances from the spec (nothing but indices
+//! crosses the wire), report one `OUTCOME` line each, retire the lease
+//! with `DONE`. [`run_local_fabric`] runs both ends on one machine — a
+//! coordinator on a private Unix socket and `P` worker children — which
+//! is what `experiments --processes P` does.
 //!
 //! Fault tolerance is lease-based: every lease carries a TTL, renewed by
 //! explicit `RENEW`s and by a per-worker `HEARTBEAT` side connection. A
@@ -23,10 +25,14 @@
 //! straggler lease, so the sweep's tail is bounded by the fastest
 //! worker, not the slowest.
 //!
-//! The merge is [`OutcomeLedger`] — the identical definition the process
-//! pool uses — so fabric tables are byte-identical to `--workers N`
+//! The ledger folds into rows through the same
+//! [`rows_from_reports`](crate::rows_from_reports) the in-process sweep
+//! ends in, so fabric tables are byte-identical to `--workers N`
 //! in-process tables by construction (the fabric suite and the CI smoke
-//! pin this, including a run where a worker is killed mid-lease).
+//! pin this, including a run where a worker is killed mid-lease). The
+//! resume unit is the finished instance: a dead worker's unfinished
+//! range re-runs from its start, which costs at most one lease of work
+//! (well under a second at the registered sweeps' default sizes).
 
 use crate::pool::{fleet_outcomes, OutcomeLedger, PoolError, SweepRows, SweepSpec};
 use oqsc_machine::{CheckpointStore, RunOutcome};
@@ -36,8 +42,9 @@ use oqsc_serve::{
     FabricRequest, FabricResponse,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -86,7 +93,7 @@ pub struct FabricConfig {
     /// completion ledger a crashed coordinator resumes from.
     pub store_path: Option<PathBuf>,
     /// Recover an existing store instead of refusing it (the fresh-run
-    /// default refuses stale stores, like the process pool).
+    /// default refuses stale stores).
     pub resume: bool,
 }
 
@@ -403,7 +410,7 @@ fn answer(line: &str, state: &Mutex<FabricState>, done: &AtomicBool) -> String {
 
 /// Connections the coordinator serves at once (each worker holds two:
 /// its lease connection and its heartbeat).
-const MAX_CONNECTIONS: usize = 256;
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Read-poll cadence of the coordinator's connections.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -437,12 +444,22 @@ impl Coordinator {
 
     /// Serves lease traffic until every instance of the sweep has an
     /// outcome, then merges the ledger into table rows — the identical
-    /// merge the process pool runs, so the table is byte-identical to
-    /// `--workers N`. A sweep whose store already covers everything
-    /// (a resumed, finished run) returns immediately without serving.
+    /// merge the in-process sweep ends in, so the table is
+    /// byte-identical to `--workers N`. A sweep whose store already
+    /// covers everything (a resumed, finished run) returns immediately
+    /// without serving.
     pub fn run(self) -> Result<SweepRows, PoolError> {
+        self.run_until(&AtomicBool::new(false))
+    }
+
+    /// [`run`](Self::run), which also stops when the caller sets `stop`
+    /// (completion sets it too). Stopped short, the merge reports the
+    /// fleets still missing outcomes as an error.
+    pub fn run_until(self, stop: &AtomicBool) -> Result<SweepRows, PoolError> {
         let Coordinator { listener, state } = self;
-        let done = AtomicBool::new(state.is_complete());
+        if state.is_complete() {
+            stop.store(true, Ordering::SeqCst);
+        }
         let state = Mutex::new(state);
         // After completion the listener is gone (a late dial is refused),
         // but open connections are answered until their worker hangs
@@ -453,8 +470,8 @@ impl Coordinator {
             MAX_CONNECTIONS,
             READ_POLL,
             Drain::AtHangup,
-            &done,
-            || |line: &str| answer(line, &state, &done),
+            stop,
+            || |line: &str| answer(line, &state, stop),
         );
         state
             .into_inner()
@@ -654,4 +671,110 @@ pub fn fabric_work(
         run
     });
     result.map(|()| report)
+}
+
+/// A fresh directory only this user can enter, for the local fabric's
+/// socket.
+fn private_temp_dir() -> std::io::Result<PathBuf> {
+    use std::os::unix::fs::DirBuilderExt;
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("oqsc-fabric-{}-{n}", std::process::id()));
+        match std::fs::DirBuilder::new().mode(0o700).create(&dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            made => return made.map(|()| dir),
+        }
+    }
+}
+
+/// Runs `spec` on a fabric confined to this machine: a coordinator on a
+/// Unix socket in a private temporary directory, and `processes`
+/// children of `exe` (the `experiments` binary) in `--fabric-work`
+/// mode, each with `--workers W` when `workers` is given. Children
+/// write nothing to stdout and share this process's stderr.
+///
+/// The run succeeds exactly when the coordinator completes the sweep; a
+/// child that fails after that (say, one refused because it dialled
+/// after completion) is harmless. Once every child has exited with the
+/// ledger still incomplete, the coordinator is stopped and the first
+/// failed child is reported as [`PoolError::WorkerFailed`].
+pub fn run_local_fabric(
+    exe: &Path,
+    spec: SweepSpec,
+    processes: usize,
+    workers: Option<usize>,
+    config: FabricConfig,
+) -> Result<SweepRows, PoolError> {
+    let dir = private_temp_dir()?;
+    let result = run_local_fabric_in(&dir, exe, spec, processes, workers, config);
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+fn run_local_fabric_in(
+    dir: &Path,
+    exe: &Path,
+    spec: SweepSpec,
+    processes: usize,
+    workers: Option<usize>,
+    config: FabricConfig,
+) -> Result<SweepRows, PoolError> {
+    let addr = dir.join("fabric.sock").to_string_lossy().into_owned();
+    let coordinator = Coordinator::bind(&addr, spec, config)?;
+    let mut children: Vec<Child> = Vec::new();
+    // A resumed ledger that already covers the sweep needs no workers.
+    let needed = if coordinator.state.is_complete() {
+        0
+    } else {
+        processes.max(1)
+    };
+    for _ in 0..needed {
+        let mut cmd = Command::new(exe);
+        cmd.args(["--sweep", spec.name(), "--k-max"])
+            .arg(spec.k_max().to_string())
+            .arg("--fabric-work")
+            .arg(&addr)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit());
+        if let Some(trials) = spec.trials() {
+            cmd.arg("--trials").arg(trials.to_string());
+        }
+        if let Some(w) = workers {
+            cmd.arg("--workers").arg(w.to_string());
+        }
+        match cmd.spawn() {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                for mut child in children {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+                return Err(e.into());
+            }
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let (rows, statuses) = std::thread::scope(|scope| {
+        let coordinator = scope.spawn(|| coordinator.run_until(&stop));
+        let statuses: Vec<_> = children.iter_mut().map(Child::wait).collect();
+        stop.store(true, Ordering::SeqCst);
+        let rows = coordinator
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (rows, statuses)
+    });
+    if rows.is_err() {
+        for (worker, status) in statuses.into_iter().enumerate() {
+            let status = status?;
+            if !status.success() {
+                return Err(PoolError::WorkerFailed {
+                    worker,
+                    code: status.code(),
+                });
+            }
+        }
+    }
+    rows
 }

@@ -11,8 +11,10 @@
 //! The library part holds the table-producing functions so both entry
 //! points (and the integration tests) share one implementation. Decider
 //! sweeps run through `oqsc_machine::BatchRunner` (size the fleet with
-//! `--workers N` on the binary); `cargo bench --bench throughput`
-//! measures the batch and parallel-dense paths against the serial one.
+//! `--workers N` on the binary), or on the sweep fabric ([`fabric`]),
+//! which `--processes P` runs with `P` local worker processes;
+//! `cargo bench --bench throughput` measures the batch and
+//! parallel-dense paths against the serial one.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -24,12 +26,11 @@ pub mod record;
 
 pub use experiments::*;
 pub use fabric::{
-    fabric_coordinate, fabric_instance_id, fabric_work, split_fabric_instance_id, Coordinator,
-    FabricConfig, FabricState, FabricWorkReport, WorkerConfig,
+    fabric_coordinate, fabric_instance_id, fabric_work, run_local_fabric, split_fabric_instance_id,
+    Coordinator, FabricConfig, FabricState, FabricWorkReport, WorkerConfig,
 };
 pub use pool::{
-    emit_outcomes, find_store_files, fleet_outcomes, rows_from_outcomes, rows_from_reports,
-    shard_indices, worker_outcomes, OutcomeLedger, PoolError, PoolRunOpts, ProcessPool, ShardId,
-    SweepRows, SweepSpec, WORKER_CRASH_EXIT,
+    find_store_files, fleet_outcomes, ledger_store_path, rows_from_reports, OutcomeLedger,
+    PoolError, StoreRunOpts, SweepRows, SweepSpec, CRASH_EXIT,
 };
 pub use record::{run_record, RecordOpts};

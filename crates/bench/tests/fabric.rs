@@ -11,7 +11,9 @@
 //!   `DONE` rejection, sweep-identity checks, and store-backed resume.
 //!
 //! * a worker dialling a coordinator whose sweep is already complete
-//!   is refused at once and cannot hang either side.
+//!   is refused at once and cannot hang either side;
+//! * a local fabric whose workers all fail stops its coordinator and
+//!   names the failed worker and its exit code.
 //!
 //! The binary-level version (SIGKILL a worker process mid-sweep, then
 //! resume the coordinator from its store) runs in CI's fabric smoke.
@@ -21,8 +23,8 @@ mod common;
 
 use common::{watchdog, RawClient};
 use oqsc_bench::{
-    fabric_work, fleet_outcomes, split_fabric_instance_id, Coordinator, FabricConfig, FabricState,
-    PoolError, SweepSpec, WorkerConfig,
+    fabric_work, fleet_outcomes, run_local_fabric, split_fabric_instance_id, Coordinator,
+    FabricConfig, FabricState, PoolError, SweepSpec, WorkerConfig,
 };
 use oqsc_machine::{BatchRunner, SessionSchedule};
 use oqsc_serve::{
@@ -222,6 +224,38 @@ fn a_worker_dialling_after_completion_cannot_hang_the_fabric() {
         }
         drop(raw);
         assert_eq!(coord.join().expect("coordinator thread"), reference);
+    });
+}
+
+/// A "worker" that exits 3 at once: the sweep can never complete, so
+/// the driver must notice every child gone, stop the coordinator, and
+/// report the first failure rather than wait forever.
+#[test]
+fn a_local_fabric_whose_workers_fail_reports_the_exit_code() {
+    watchdog(|| {
+        use std::os::unix::fs::PermissionsExt;
+        let script = temp_path("exit3.sh");
+        std::fs::write(&script, "#!/bin/sh\nexit 3\n").expect("write script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod script");
+        let result = run_local_fabric(&script, spec_e6(2), 2, None, FabricConfig::default());
+        let _ = std::fs::remove_file(&script);
+        match result {
+            Err(e @ PoolError::WorkerFailed { .. }) => {
+                assert!(
+                    matches!(
+                        e,
+                        PoolError::WorkerFailed {
+                            worker: 0,
+                            code: Some(3)
+                        }
+                    ),
+                    "{e:?}"
+                );
+                assert!(e.to_string().contains("exit code 3"), "{e}");
+            }
+            other => panic!("expected WorkerFailed, got {other:?}"),
+        }
     });
 }
 

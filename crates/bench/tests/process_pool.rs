@@ -1,18 +1,18 @@
-//! The cross-process scheduler's contract, pinned against the real
-//! `experiments` binary (spawned as OS processes, exactly as a user
+//! The cross-process and persistent sweep contracts, pinned against the
+//! real `experiments` binary (spawned as OS processes, exactly as a user
 //! would run it):
 //!
-//! * 1/2/4-process runs of **every registered sweep** (E6, F1, F3, F4)
-//!   print tables **byte-identical** to the in-process `--workers N`
-//!   runs;
-//! * a sweep killed mid-run (worker processes exiting the crash way)
-//!   and resumed from the persisted shard stores prints the identical
-//!   table — and the resume *skips* instances whose outcomes were
-//!   persisted;
+//! * `--processes 1/2/4` — a local fabric of that many worker processes
+//!   — runs of **every registered sweep** (E6, F1, F3, F4) print tables
+//!   **byte-identical** to the in-process `--workers N` runs, even with
+//!   fewer instances than processes;
+//! * a `--processes` ledger cut short (at a record boundary or mid
+//!   record) resumes to the identical table;
+//! * an in-process `--store` sweep killed mid-run and resumed from its
+//!   stores prints the identical table;
 //! * `--compact` shrinks resume-heavy stores via atomic rename and a
 //!   further `--resume` still prints the identical table;
-//! * a worker that dies with a real error surfaces its stderr tail in
-//!   the parent's error message;
+//! * a store the parent cannot create fails the run with its I/O error;
 //! * stale stores are refused without `--resume`, and orphaned lock
 //!   files block a fresh run until broken.
 //!
@@ -22,10 +22,12 @@
 mod common;
 
 use common::watchdog;
+use oqsc_machine::{peek_header, RecordScanner};
+use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const WORKER_CRASH_EXIT: i32 = 9;
+const CRASH_EXIT: i32 = 9;
 
 /// Runs the binary to completion. Every test goes through here, so the
 /// watchdog turns a wedged run into a failed test, not a stuck suite.
@@ -109,19 +111,19 @@ fn process_pools_print_tables_byte_identical_to_in_process_runs() {
 #[test]
 fn killed_pool_resumes_to_the_identical_table() {
     let reference = stdout_of(&["--sweep", "e6", "--k-max", "4"]);
-    for processes in ["1", "2", "4"] {
-        let prefix = temp_prefix(&format!("crash-{processes}"));
+    for workers in ["1", "2", "4"] {
+        let prefix = temp_prefix(&format!("crash-{workers}"));
         let prefix_s = prefix.to_string_lossy().into_owned();
-        // Kill the sweep mid-run: every worker stops dead after 300
-        // tokens (well inside the k=4 instance stream) having persisted
-        // only whole 64-token segments.
+        // Kill the sweep mid-run: it stops dead after 300 tokens (well
+        // inside the k=4 instance stream) having persisted only whole
+        // 64-token segments.
         let crashed = experiments(&[
             "--sweep",
             "e6",
             "--k-max",
             "4",
-            "--processes",
-            processes,
+            "--workers",
+            workers,
             "--store",
             &prefix_s,
             "--checkpoint-every",
@@ -131,7 +133,7 @@ fn killed_pool_resumes_to_the_identical_table() {
         ]);
         assert_eq!(
             crashed.status.code(),
-            Some(WORKER_CRASH_EXIT),
+            Some(CRASH_EXIT),
             "stderr: {}",
             String::from_utf8_lossy(&crashed.stderr)
         );
@@ -139,14 +141,14 @@ fn killed_pool_resumes_to_the_identical_table() {
             String::from_utf8_lossy(&crashed.stderr).contains("resume"),
             "crash message tells the operator how to continue"
         );
-        // Resume from nothing but the shard store files.
+        // Resume from nothing but the store files.
         let resumed = stdout_of(&[
             "--sweep",
             "e6",
             "--k-max",
             "4",
-            "--processes",
-            processes,
+            "--workers",
+            workers,
             "--store",
             &prefix_s,
             "--checkpoint-every",
@@ -155,7 +157,7 @@ fn killed_pool_resumes_to_the_identical_table() {
         ]);
         assert_eq!(
             resumed, reference,
-            "{processes}-process resumed table differs from uninterrupted"
+            "{workers}-worker resumed table differs from uninterrupted"
         );
         cleanup_prefix(&prefix);
     }
@@ -172,8 +174,6 @@ fn f1_pool_with_persistence_survives_a_kill_too() {
         "f1",
         "--k-max",
         "3",
-        "--processes",
-        "2",
         "--store",
         &prefix_s,
         "--checkpoint-every",
@@ -181,14 +181,12 @@ fn f1_pool_with_persistence_survives_a_kill_too() {
         "--crash-after-tokens",
         "100",
     ]);
-    assert_eq!(crashed.status.code(), Some(WORKER_CRASH_EXIT));
+    assert_eq!(crashed.status.code(), Some(CRASH_EXIT));
     let resumed = stdout_of(&[
         "--sweep",
         "f1",
         "--k-max",
         "3",
-        "--processes",
-        "2",
         "--store",
         &prefix_s,
         "--checkpoint-every",
@@ -216,23 +214,15 @@ fn f3_and_f4_pools_with_persistence_survive_kills_too() {
         let prefix = temp_prefix(&format!("{sweep}-crash"));
         let prefix_s = prefix.to_string_lossy().into_owned();
         let store_args = ["--store", &prefix_s, "--checkpoint-every", "16"];
-        let crashed = experiments(
-            &[
-                &base[..],
-                &["--processes", "2"],
-                &store_args,
-                &["--crash-after-tokens", crash],
-            ]
-            .concat(),
-        );
+        let crashed =
+            experiments(&[&base[..], &store_args, &["--crash-after-tokens", crash]].concat());
         assert_eq!(
             crashed.status.code(),
-            Some(WORKER_CRASH_EXIT),
+            Some(CRASH_EXIT),
             "{sweep}: stderr: {}",
             String::from_utf8_lossy(&crashed.stderr)
         );
-        let resumed =
-            stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
+        let resumed = stdout_of(&[&base[..], &store_args, &["--resume"]].concat());
         assert_eq!(resumed, reference, "{sweep}: resumed table differs");
         cleanup_prefix(&prefix);
     }
@@ -249,21 +239,13 @@ fn compaction_between_resumes_keeps_tables_byte_identical() {
     let prefix = temp_prefix("compact-cycle");
     let prefix_s = prefix.to_string_lossy().into_owned();
     let store_args = ["--store", &prefix_s, "--checkpoint-every", "32"];
-    let crashed = experiments(
-        &[
-            &base[..],
-            &["--processes", "2"],
-            &store_args,
-            &["--crash-after-tokens", "300"],
-        ]
-        .concat(),
-    );
-    assert_eq!(crashed.status.code(), Some(WORKER_CRASH_EXIT));
-    let first = stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
+    let crashed = experiments(&[&base[..], &store_args, &["--crash-after-tokens", "300"]].concat());
+    assert_eq!(crashed.status.code(), Some(CRASH_EXIT));
+    let first = stdout_of(&[&base[..], &store_args, &["--resume"]].concat());
     assert_eq!(first, reference, "resume before compaction");
     let sizes_before: Vec<(PathBuf, u64)> = store_files(&prefix);
-    assert!(!sizes_before.is_empty(), "shard stores exist");
-    // Compact every shard store under the prefix.
+    assert!(!sizes_before.is_empty(), "stores exist");
+    // Compact every store under the prefix.
     let compacted = experiments(&["--compact", &prefix_s]);
     assert!(
         compacted.status.success(),
@@ -286,8 +268,7 @@ fn compaction_between_resumes_keeps_tables_byte_identical() {
     }
     // A further resume over the compacted stores: byte-identical, and
     // instant (every instance finished, so outcomes are just read back).
-    let second =
-        stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
+    let second = stdout_of(&[&base[..], &store_args, &["--resume"]].concat());
     assert_eq!(second, reference, "resume after compaction");
     cleanup_prefix(&prefix);
 }
@@ -311,11 +292,114 @@ fn store_files(prefix: &Path) -> Vec<(PathBuf, u64)> {
     found
 }
 
+/// The byte offset at which each record of the store at `path` ends,
+/// preceded by the header's end.
+fn record_boundaries(path: &Path) -> Vec<u64> {
+    let header = peek_header(path).expect("ledger header");
+    let mut file = std::fs::File::open(path).expect("open ledger");
+    let len = file.metadata().expect("metadata").len();
+    file.seek(SeekFrom::Start(header.len)).expect("seek");
+    let mut scanner = RecordScanner::new(BufReader::new(file), len, header.version, header.len);
+    let mut boundaries = vec![header.len];
+    while scanner.next_record().expect("valid record").is_some() {
+        boundaries.push(scanner.offset());
+    }
+    boundaries
+}
+
+/// `(finished, instances)` from the `--store-stats` line of one store.
+fn finished_of(stats: &str) -> (usize, usize) {
+    let field = stats
+        .split(" | ")
+        .find(|f| f.ends_with(" finished"))
+        .unwrap_or_else(|| panic!("no finished column in {stats:?}"));
+    let (finished, instances) = field
+        .trim_end_matches(" finished")
+        .split_once('/')
+        .expect("finished/instances");
+    (
+        finished.parse().expect("finished"),
+        instances.parse().expect("instances"),
+    )
+}
+
 #[test]
-fn failed_workers_surface_their_stderr_in_the_parent_error() {
-    // Point the shard stores into a directory that does not exist: the
-    // worker dies with a real store error on stderr, and the parent's
-    // error message must carry that tail (not just an exit code).
+fn a_truncated_fabric_ledger_resumes_to_the_identical_table() {
+    // The `--processes` resume unit is the finished instance: whatever
+    // prefix of the coordinator's ledger survives, a resume re-runs
+    // exactly the instances missing from it.
+    let base = ["--sweep", "e6", "--k-max", "4"];
+    let reference = stdout_of(&base);
+    let total = 8; // e6 at k = 4: a member and a non-member per k
+    for processes in ["1", "2", "4"] {
+        let prefix = temp_prefix(&format!("ledger-{processes}"));
+        let prefix_s = prefix.to_string_lossy().into_owned();
+        let ledger = PathBuf::from(format!("{prefix_s}.ledger.cps"));
+        let run = [&base[..], &["--processes", processes, "--store", &prefix_s]].concat();
+        assert_eq!(stdout_of(&run), reference, "{processes}: full run");
+        let full = std::fs::read(&ledger).expect("read ledger");
+        let bounds = record_boundaries(&ledger);
+        assert_eq!(bounds.len(), total + 1, "one outcome record per instance");
+        let mid = bounds.len() / 2;
+        // After one record, after half of them, and two torn tails.
+        let cuts = [
+            (bounds[1], false),
+            (bounds[mid], false),
+            (bounds[mid] + 3, true),
+            (bounds[total] - 1, true),
+        ];
+        for (cut, torn) in cuts {
+            std::fs::write(&ledger, &full[..cut as usize]).expect("truncate");
+            let stats = experiments(&["--store-stats", &prefix_s]);
+            if torn {
+                // The strict reader refuses a torn tail; only a resume
+                // salvages it.
+                assert_eq!(stats.status.code(), Some(1), "{processes}: cut {cut}");
+            } else {
+                assert!(stats.status.success(), "{processes}: cut {cut}");
+                let (finished, _) = finished_of(&String::from_utf8_lossy(&stats.stdout));
+                assert!(
+                    finished < total,
+                    "{processes}: cut {cut}: {finished} finished"
+                );
+            }
+            let resumed = stdout_of(&[&run[..], &["--resume"]].concat());
+            assert_eq!(resumed, reference, "{processes}: resume after cut {cut}");
+            let stats = stdout_of(&["--store-stats", &prefix_s]);
+            assert_eq!(finished_of(&stats), (total, total), "{processes}: {stats}");
+        }
+        cleanup_prefix(&prefix);
+    }
+}
+
+#[test]
+fn fewer_instances_than_processes_print_the_table_every_time() {
+    // Two instances, four workers: the sweep can complete before the
+    // last worker has dialled, and that worker's refusal must neither
+    // fail nor hang the run.
+    let base = ["--sweep", "e6", "--k-max", "1"];
+    let reference = stdout_of(&base);
+    for round in 0..20 {
+        let out = experiments(&[&base[..], &["--processes", "4"]].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "round {round}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            reference,
+            "round {round}"
+        );
+    }
+}
+
+#[test]
+fn an_uncreatable_ledger_fails_in_the_parent() {
+    // The ledger lives in a directory that does not exist: the
+    // coordinator cannot create it, so the run fails before any worker
+    // starts, with the store's own I/O error.
     let mut missing = std::env::temp_dir();
     missing.push(format!("oqsc-pool-missing-{}", std::process::id()));
     missing.push("nope");
@@ -330,19 +414,11 @@ fn failed_workers_surface_their_stderr_in_the_parent_error() {
         "2",
         "--store",
         &missing_s,
-        "--checkpoint-every",
-        "16",
     ]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("worker shard"),
-        "parent names the shard: {stderr}"
-    );
-    assert!(
-        stderr.contains("I/O error") || stderr.contains("No such file"),
-        "parent surfaces the child's own message: {stderr}"
-    );
+    assert!(stderr.contains("I/O error"), "stderr: {stderr}");
+    assert!(!stderr.contains("fabric worker"), "no worker ran: {stderr}");
 }
 
 #[test]
@@ -389,7 +465,7 @@ fn compact_validates_its_flags_and_missing_prefixes() {
 fn stale_stores_are_refused_without_resume() {
     let prefix = temp_prefix("stale");
     let prefix_s = prefix.to_string_lossy().into_owned();
-    let first = experiments(&[
+    let run = [
         "--sweep",
         "e6",
         "--k-max",
@@ -398,44 +474,24 @@ fn stale_stores_are_refused_without_resume() {
         "2",
         "--store",
         &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    ];
+    let first = experiments(&run);
     assert!(first.status.success());
-    // Re-running fresh over the leftover stores must refuse, loudly.
-    let second = experiments(&[
-        "--sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    assert!(
+        Path::new(&format!("{prefix_s}.ledger.cps")).is_file(),
+        "the ledger persists"
+    );
+    // Re-running fresh over the leftover ledger must refuse, loudly.
+    let second = experiments(&run);
     assert_eq!(second.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&second.stderr).contains("already exists"),
         "stderr: {}",
         String::from_utf8_lossy(&second.stderr)
     );
-    // With --resume the finished shards replay from their last
-    // checkpoints and the table matches the plain run.
-    let resumed = stdout_of(&[
-        "--sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-        "--resume",
-    ]);
+    // With --resume the finished outcomes are read back and the table
+    // matches the plain run.
+    let resumed = stdout_of(&[&run[..], &["--resume"]].concat());
     assert_eq!(resumed, stdout_of(&["--sweep", "e6", "--k-max", "2"]));
     cleanup_prefix(&prefix);
 }
@@ -444,11 +500,11 @@ fn stale_stores_are_refused_without_resume() {
 fn orphaned_locks_block_fresh_runs() {
     let prefix = temp_prefix("orphan");
     let prefix_s = prefix.to_string_lossy().into_owned();
-    // Simulate a kill that left shard 0's lock file behind (the
-    // simulated-crash path releases locks; a real SIGKILL would not).
-    let lock = PathBuf::from(format!("{prefix_s}.e6.shard0of1.cps.lock"));
+    // Simulate a killed coordinator that left the ledger's lock file
+    // behind.
+    let lock = PathBuf::from(format!("{prefix_s}.ledger.cps.lock"));
     std::fs::write(&lock, b"314159").expect("orphan lock");
-    let blocked = experiments(&[
+    let run = [
         "--sweep",
         "e6",
         "--k-max",
@@ -457,30 +513,17 @@ fn orphaned_locks_block_fresh_runs() {
         "1",
         "--store",
         &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    ];
+    let blocked = experiments(&run);
     assert_eq!(blocked.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&blocked.stderr).contains("lock"),
         "stderr: {}",
         String::from_utf8_lossy(&blocked.stderr)
     );
-    // A resume run owns the shard files and may break the orphan (the
-    // parent reaped the only possible writer).
-    let resumed = experiments(&[
-        "--sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "1",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-        "--resume",
-    ]);
+    // A resume run owns the ledger and may break the orphan (its only
+    // possible writer is dead).
+    let resumed = experiments(&[&run[..], &["--resume"]].concat());
     assert!(
         resumed.status.success(),
         "stderr: {}",
@@ -503,12 +546,34 @@ fn cli_rejects_inconsistent_flag_combinations() {
         (vec!["--store", "/tmp/x"], "requires --sweep"),
         (vec!["--processes", "2"], "requires --sweep"),
         (
-            vec!["--sweep", "e6", "--worker"],
-            "--worker requires --shard",
+            vec!["--sweep", "e6", "--processes", "129"],
+            "between 1 and 128",
         ),
         (
-            vec!["--sweep", "e6", "--worker", "--shard", "5", "--of", "2"],
-            "must be < --of",
+            vec![
+                "--sweep",
+                "e6",
+                "--processes",
+                "2",
+                "--store",
+                "/tmp/x",
+                "--crash-after-tokens",
+                "5",
+            ],
+            "--processes cannot be combined with --crash-after-tokens",
+        ),
+        (
+            vec![
+                "--sweep",
+                "e6",
+                "--processes",
+                "2",
+                "--store",
+                "/tmp/x",
+                "--store-format",
+                "2",
+            ],
+            "--processes cannot be combined with --store-format",
         ),
         (vec!["--sweep", "nope"], "expected one of"),
         (vec!["--sweep", "e6", "--k-max", "99"], "between 1 and"),

@@ -1,6 +1,6 @@
 //! The line-oriented serving protocol.
 //!
-//! Same style as the worker pool's `OUTCOME` protocol: one request per
+//! Same style as the sweep fabric's `OUTCOME` lines: one request per
 //! line, space-separated integer-exact fields, one response line per
 //! request. Words travel in the repo's `0`/`1`/`#` surface syntax.
 //!
@@ -173,8 +173,8 @@ pub fn parse_outcome_line(line: &str) -> Option<(u64, RunOutcome)> {
     ))
 }
 
-/// Renders one fleet-qualified outcome line — the worker pool's
-/// reporting protocol, reused verbatim by the distributed sweep fabric:
+/// Renders one fleet-qualified outcome line — how a sweep fabric worker
+/// reports one instance:
 /// `OUTCOME <fleet> <index> <accept> <bits> <qubits> <amplitudes>`.
 /// All integers, so the text round trip is exact and merged tables are
 /// byte-identical to in-process ones.
@@ -189,7 +189,7 @@ pub fn fleet_outcome_line(fleet: &str, index: u64, out: &RunOutcome) -> String {
 }
 
 /// Parses a [`fleet_outcome_line`]. Errors carry the offending line so
-/// both the process pool and the fabric can surface it verbatim.
+/// the fabric can surface it verbatim.
 pub fn parse_fleet_outcome_line(line: &str) -> Result<(String, u64, RunOutcome), String> {
     let mut parts = line.split_whitespace();
     if parts.next() != Some("OUTCOME") {
@@ -225,8 +225,8 @@ pub fn parse_fleet_outcome_line(line: &str) -> Result<(String, u64, RunOutcome),
 
 /// One parsed fabric request line (worker → coordinator).
 ///
-/// The distributed sweep fabric speaks the worker pool's line-oriented
-/// `OUTCOME` protocol, extended with lease-management verbs:
+/// The distributed sweep fabric speaks line-oriented [`fleet_outcome_line`]s
+/// plus lease-management verbs:
 ///
 /// ```text
 /// -> LEASE <worker> <sweep> <k_max> <trials>  <- LEASE <lease> <fleet> <start> <end>
